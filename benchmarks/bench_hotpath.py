@@ -13,20 +13,12 @@ trajectory.  Usage::
     PYTHONPATH=src python benchmarks/bench_hotpath.py             # measure + write
     PYTHONPATH=src python benchmarks/bench_hotpath.py --baseline  # store as baseline
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick     # 1 rep (CI smoke)
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --backend vector
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --assert-backend-parity
     PYTHONPATH=src python benchmarks/bench_hotpath.py --assert-miss-path
 
 ``--baseline`` records the current measurements under the ``baseline``
 key (this was run once on the pre-refactor tree); subsequent default
 runs record under ``current`` and report the speedup against the stored
-baseline.  ``--backend`` selects the execution backend
-(:mod:`repro.core.backend`) for the main measurement; the default run
-also performs an interleaved python/vector A/B comparison and records
-the vector side under the ``vector`` key (same per-scenario schema as
-``current``).  ``--assert-backend-parity`` exits non-zero if the vector
-backend is measurably slower than python on the oltp scenario (CPU-time
-interleaved best-of-N; used as a CI gate).
+baseline.
 
 Measurement note: each scenario now runs a short warm-up leg
 (``warmup`` transactions) before the timer starts, and ``ops_per_sec`` /
@@ -79,12 +71,12 @@ SCENARIOS: dict[str, dict] = {
 SEED = 1234
 
 
-def build_machine(scenario: dict, backend: str | None = None) -> Machine:
+def build_machine(scenario: dict) -> Machine:
     config = SystemConfig(n_cpus=4)
     workload = make_workload(
         scenario["workload"], scale=scenario.get("scale", 1.0), **scenario["params"]
     )
-    machine = Machine(config, workload, backend=backend)
+    machine = Machine(config, workload)
     machine.hierarchy.seed_perturbation(SEED)
     return machine
 
@@ -100,10 +92,8 @@ def ops_consumed(machine: Machine) -> int | None:
     return total
 
 
-def run_scenario(
-    scenario: dict, *, probes: bool = False, backend: str | None = None
-) -> dict:
-    machine = build_machine(scenario, backend=backend)
+def run_scenario(scenario: dict, *, probes: bool = False) -> dict:
+    machine = build_machine(scenario)
     if probes:
         from repro.probes import ProbeBus
 
@@ -142,15 +132,13 @@ def run_scenario(
     return {key: value for key, value in sample.items() if value is not None}
 
 
-def measure(
-    reps: int, *, probes: bool = False, backend: str | None = None
-) -> dict[str, dict]:
+def measure(reps: int, *, probes: bool = False) -> dict[str, dict]:
     """Best-of-``reps`` measurement for every scenario."""
     results: dict[str, dict] = {}
     for name, scenario in SCENARIOS.items():
         best: dict | None = None
         for _ in range(reps):
-            sample = run_scenario(scenario, probes=probes, backend=backend)
+            sample = run_scenario(scenario, probes=probes)
             if best is None or sample["wall_s"] < best["wall_s"]:
                 best = sample
         results[name] = best
@@ -162,69 +150,6 @@ def measure(
             f"events/s={erate and int(erate) or 'n/a'}"
         )
     return results
-
-
-def backend_ab(reps: int) -> tuple[dict[str, dict], dict[str, float]]:
-    """Interleaved python/vector A/B over every scenario.
-
-    Alternates the two backends within one process per rep (so drift in
-    machine load hits both sides equally) and keeps the best sample per
-    side by timed wall.  Returns (vector-side results, per-scenario
-    speedup python/vector on the timed region).
-    """
-    vector_results: dict[str, dict] = {}
-    speedups: dict[str, float] = {}
-    for name, scenario in SCENARIOS.items():
-        best_py: dict | None = None
-        best_vec: dict | None = None
-        for _ in range(reps):
-            sample_py = run_scenario(scenario, backend="python")
-            sample_vec = run_scenario(scenario, backend="vector")
-            if best_py is None or sample_py["timed_wall_s"] < best_py["timed_wall_s"]:
-                best_py = sample_py
-            if best_vec is None or sample_vec["timed_wall_s"] < best_vec["timed_wall_s"]:
-                best_vec = sample_vec
-        vector_results[name] = best_vec
-        speedups[name] = round(
-            best_py["timed_wall_s"] / best_vec["timed_wall_s"], 3
-        )
-        print(
-            f"A/B {name:10s} python={best_py['timed_wall_s']:.3f}s "
-            f"vector={best_vec['timed_wall_s']:.3f}s "
-            f"speedup={speedups[name]:.3f}x"
-        )
-    return vector_results, speedups
-
-
-def assert_backend_parity(reps: int, tolerance: float) -> bool:
-    """CI gate: vector must not be slower than python on oltp.
-
-    Interleaved CPU-time (``time.process_time``) best-of-``reps`` pairs
-    on the oltp scenario; passes when the vector best is within
-    ``tolerance`` of the python best (the two backends are measured at
-    parity -- see DESIGN.md section 14 -- so this guards against the
-    vector path regressing into real slowness, with headroom for
-    shared-runner noise).
-    """
-    scenario = SCENARIOS["oltp"]
-
-    def one(backend: str) -> float:
-        machine = build_machine(scenario, backend=backend)
-        t0 = time.process_time()
-        machine.run_until_transactions(scenario["txns"], max_time_ns=10**14)
-        return time.process_time() - t0
-
-    best_py = min(one("python") for _ in range(reps))
-    best_vec = min(one("vector") for _ in range(reps))
-    ratio = best_vec / best_py
-    ok = ratio <= 1.0 + tolerance
-    print(
-        f"backend parity (oltp, cpu-time best-of-{reps}): "
-        f"python={best_py:.3f}s vector={best_vec:.3f}s "
-        f"vector/python={ratio:.3f} tolerance={1.0 + tolerance:.2f} "
-        f"-> {'ok' if ok else 'FAIL'}"
-    )
-    return ok
 
 
 MISS_PATH_SCENARIOS = ("oltp", "oltp_misses")
@@ -344,24 +269,6 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="single rep (CI smoke)")
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument(
-        "--backend", choices=("python", "vector"), default=None,
-        help="execution backend for the main measurement (default: "
-             "process default, i.e. $REPRO_SIM_BACKEND or python)",
-    )
-    parser.add_argument(
-        "--no-ab", action="store_true",
-        help="skip the interleaved python/vector A/B section",
-    )
-    parser.add_argument(
-        "--assert-backend-parity", action="store_true",
-        help="only run the oltp parity gate (exit 1 when the vector "
-             "backend is slower than python beyond --parity-tolerance)",
-    )
-    parser.add_argument(
-        "--parity-tolerance", type=float, default=0.10,
-        help="allowed vector/python slowdown ratio margin for the gate",
-    )
-    parser.add_argument(
         "--assert-miss-path", action="store_true",
         help="only run the miss-path gate (exit 1 when the integer-coded "
              "miss path is slower than the reference path beyond "
@@ -374,8 +281,6 @@ def main() -> int:
     args = parser.parse_args()
     reps = 1 if args.quick else args.reps
 
-    if args.assert_backend_parity:
-        return 0 if assert_backend_parity(max(reps, 3), args.parity_tolerance) else 1
     if args.assert_miss_path:
         return 0 if assert_miss_path(max(reps, 3), args.miss_path_tolerance) else 1
 
@@ -383,7 +288,7 @@ def main() -> int:
     if OUT_PATH.exists():
         doc = json.loads(OUT_PATH.read_text())
 
-    results = measure(reps, backend=args.backend)
+    results = measure(reps)
     if args.baseline:
         doc["baseline"] = results
     else:
@@ -398,10 +303,6 @@ def main() -> int:
                     speedups[name] = round(base["wall_s"] / sample["wall_s"], 3)
             doc["speedup_vs_baseline"] = speedups
             print("speedup vs baseline:", speedups)
-        if not args.no_ab:
-            vector_results, ab_speedups = backend_ab(reps)
-            doc["vector"] = vector_results
-            doc["vector_speedup_vs_python"] = ab_speedups
         doc["miss_path_ab"] = miss_path_ab(reps)
         overhead = probe_overhead_pct(reps)
         if overhead is not None:

@@ -25,12 +25,6 @@ Environment knobs:
   how warm-up legs execute (:mod:`repro.core.ffwd`).  Functional
   warm-up reaches a different (but equally valid) warm state, so its
   checkpoints and runs cache under separate keys.
-- ``REPRO_BENCH_SIM_BACKEND``: ``python`` (default), ``vector``, or
-  ``auto`` -- the simulation execution backend
-  (:mod:`repro.core.backend`) every bench in this process runs under.
-  Backends are bit-for-bit equivalent, so unlike the warm-up mode this
-  never changes cache keys: a store populated under either backend is
-  reused by the other.
 
 Scale note (see DESIGN.md): one synthetic transaction costs ~10^2-10^3
 memory operations, about 500x lighter than the paper's (~10^6
@@ -62,16 +56,6 @@ N_TXNS = int(os.environ.get("REPRO_BENCH_TXNS", "200"))
 WARMUP_TXNS = int(os.environ.get("REPRO_BENCH_WARMUP", "3000"))
 #: how warm-up legs execute: "timed" or "functional" (repro.core.ffwd)
 WARMUP_MODE = os.environ.get("REPRO_BENCH_WARMUP_MODE", "timed")
-#: simulation execution backend for every bench in this process
-#: (result-invariant; see repro.core.backend)
-SIM_BACKEND = os.environ.get("REPRO_BENCH_SIM_BACKEND")
-if SIM_BACKEND:
-    from repro.core import backend as _backend
-
-    # Install process-wide and export so fan-out worker processes
-    # resolve the same backend.
-    os.environ[_backend.ENV_VAR] = SIM_BACKEND
-    _backend.set_backend(SIM_BACKEND)
 
 MAX_TIME_NS = 10**13
 

@@ -758,14 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(Alameldeen & Wood, HPCA 2003 reproduction)"
         ),
     )
-    parser.add_argument(
-        "--sim-backend", choices=("python", "vector", "auto"), default=None,
-        help="simulation execution backend for this invocation (default: "
-             "$REPRO_SIM_BACKEND or 'python'; 'vector' batches the hot "
-             "path, 'auto' picks vector when numpy is available).  "
-             "Results are bit-identical either way, so the choice never "
-             "folds into store keys; place the flag before the subcommand",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("workloads", help="list available workloads").set_defaults(
@@ -936,13 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "sim_backend", None):
-        from repro.core import backend as _backend
-
-        # Install process-wide and export so pool/worker subprocesses
-        # resolve the same backend (selection is env-driven there).
-        os.environ[_backend.ENV_VAR] = args.sim_backend
-        _backend.set_backend(args.sim_backend)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -136,14 +136,6 @@ def fast_forward_transactions(
     block_bytes = hierarchy._block_bytes
     l1i_caches = hierarchy.l1i
     l1d_caches = hierarchy.l1d
-    # Backend selection (repro.core.backend): the vector slice below is
-    # the scalar slice with the per-op counter writes deferred into span
-    # sums (flushed at every slice exit and before any rare-opcode
-    # branch, i.e. before anything that could observe them) and the
-    # functional_advance call inlined.  Unlike the timed vector runner
-    # it needs no SimpleCore gate: functional_advance is uniform across
-    # core models.  Results are bit-identical either way.
-    use_vector = getattr(machine, "backend", "python") == "vector"
 
     # ------------------------------------------------------------------
     # Entry: absorb the pending event queue.  EV_CORE events are dropped
@@ -161,245 +153,229 @@ def fast_forward_transactions(
             seq += 1
     heapq.heapify(wakeups)
 
-    hierarchy.set_functional(True)
     now = machine.clock.now
     target_time: int | None = None
     timed_out = False
-    try:
-        while machine.completed_transactions < total:
-            if now > max_time_ns:
-                timed_out = True
-                break
-            # Release due wake-ups (stale ones are dropped, as in
-            # _handle_ready; a woken thread is dispatched this round).
-            while wakeups and wakeups[0][0] <= now:
-                _wake_time, _s, tid = heapq.heappop(wakeups)
+    while machine.completed_transactions < total:
+        if now > max_time_ns:
+            timed_out = True
+            break
+        # Release due wake-ups (stale ones are dropped, as in
+        # _handle_ready; a woken thread is dispatched this round).
+        while wakeups and wakeups[0][0] <= now:
+            _wake_time, _s, tid = heapq.heappop(wakeups)
+            thread = threads[tid]
+            if thread.state in _WAKE_STALE:
+                continue
+            scheduler.make_ready(thread)
+
+        did_work = False
+        slice_end = now + interleave
+        for cpu in range(n_cpus):
+            tid = current[cpu]
+            if tid is None:
+                thread = pick_next(cpu, now)
+                if thread is None:
+                    continue
+            else:
                 thread = threads[tid]
-                if thread.state in _WAKE_STALE:
-                    continue
-                scheduler.make_ready(thread)
+            did_work = True
 
-            did_work = False
-            slice_end = now + interleave
-            for cpu in range(n_cpus):
-                tid = current[cpu]
-                if tid is None:
-                    thread = pick_next(cpu, now)
-                    if thread is None:
-                        continue
-                else:
-                    thread = threads[tid]
-                did_work = True
-
-                if use_vector:
-                    seq, target_time = _vector_slice(
-                        machine, cpu, thread, now, slice_end, total,
-                        scheduler, run_queues, access,
-                        locks, cores, workload_clock, txn_log, probe_lock,
-                        probe_txn, hstats, block_bytes, l1i_caches,
-                        l1d_caches, wakeups, seq, spin_ns, wakeup_latency,
-                    )
-                    if target_time is not None:
-                        break
-                    continue
-
-                # ---- one functional slice on this CPU -----------------
-                local = now
-                start = now
-                stats = thread.stats
-                run_queue = run_queues[cpu]
-                # Quantum expiry preempts only if someone waits locally;
-                # queues are frozen during the slice (wake-ups go to the
-                # heap), mirroring _run_slice's hoisted deadline.
-                deadline = thread.quantum_deadline if run_queue else _NEVER
-                functional_advance = cores[cpu].functional_advance
-                branch_ctx = thread.branch_ctx
-                buf = thread.op_buffer
-                i = thread.op_index
-                buf_len = len(buf)
-                l1i = l1i_caches[cpu]
-                l1i_sets = l1i._sets
-                l1i_n = l1i.n_sets
-                l1i_stats = l1i.stats
-                l1d = l1d_caches[cpu]
-                l1d_sets = l1d._sets
-                l1d_n = l1d.n_sets
-                l1d_stats = l1d.stats
-                while True:
-                    if local >= deadline:
-                        thread.op_index = i
+            # ---- one functional slice on this CPU -----------------
+            local = now
+            start = now
+            stats = thread.stats
+            run_queue = run_queues[cpu]
+            # Quantum expiry preempts only if someone waits locally;
+            # queues are frozen during the slice (wake-ups go to the
+            # heap), mirroring _run_slice's hoisted deadline.
+            deadline = thread.quantum_deadline if run_queue else _NEVER
+            functional_advance = cores[cpu].functional_advance
+            branch_ctx = thread.branch_ctx
+            buf = thread.op_buffer
+            i = thread.op_index
+            buf_len = len(buf)
+            l1i = l1i_caches[cpu]
+            l1i_sets = l1i._sets
+            l1i_n = l1i.n_sets
+            l1i_stats = l1i.stats
+            l1d = l1d_caches[cpu]
+            l1d_sets = l1d._sets
+            l1d_n = l1d.n_sets
+            l1d_stats = l1d.stats
+            while True:
+                if local >= deadline:
+                    thread.op_index = i
+                    stats.cpu_time_ns += local - start
+                    scheduler.preempt(cpu, thread)
+                    break
+                if i >= buf_len:
+                    thread.op_index = i
+                    if not thread.refill():
                         stats.cpu_time_ns += local - start
-                        scheduler.preempt(cpu, thread)
+                        scheduler.block(cpu, thread, ThreadState.FINISHED)
+                        machine.live_threads -= 1
                         break
-                    if i >= buf_len:
-                        thread.op_index = i
-                        if not thread.refill():
-                            stats.cpu_time_ns += local - start
-                            scheduler.block(cpu, thread, ThreadState.FINISHED)
-                            machine.live_threads -= 1
-                            break
-                        buf = thread.op_buffer
-                        buf_len = len(buf)
-                        i = 0
-                    op = buf[i]
-                    code = op[0]
-                    if code == OP_MEM:
-                        # Each data reference costs 1 ns on the
-                        # functional clock: keeps slices finite for any
-                        # op mix and keeps reference order sane.  The L1
-                        # read-hit / RW-write-hit case is inlined
-                        # (identical counters and MRU move); everything
-                        # else takes the full functional access.
-                        block = op[1] // block_bytes
-                        lines = l1d_sets[block % l1d_n]
-                        line = lines.get(block)
-                        is_write = op[2]
-                        if line is not None and (
-                            not is_write or line.code == _RW
-                        ):
-                            del lines[block]
-                            lines[block] = line
-                            l1d_stats.hits += 1
-                            if is_write:
-                                line.dirty = True
-                            hstats.accesses += 1
-                            hstats.l1_hits += 1
-                        else:
-                            access(cpu, op[1], is_write, local)
-                        local += 1
-                        i += 1
-                    elif code == OP_CPU:
-                        n = op[1]
-                        functional_advance(n, branch_ctx)
-                        local += n
-                        block = op[2] // block_bytes
-                        lines = l1i_sets[block % l1i_n]
-                        line = lines.get(block)
-                        if line is not None:
-                            del lines[block]
-                            lines[block] = line
-                            l1i_stats.hits += 1
-                            hstats.accesses += 1
-                            hstats.l1_hits += 1
-                        else:
-                            access(cpu, op[2], False, local, True)
-                        stats.instructions += n
-                        i += 1
-                    elif code == OP_TXN_BEGIN:
-                        i += 1
-                    elif code == OP_TXN_END:
-                        i += 1
-                        machine.completed_transactions += 1
-                        workload_clock.total_transactions += 1
-                        stats.transactions += 1
-                        if txn_log is not None:
-                            txn_log.append((local, op[1]))
-                        if probe_txn is not None:
-                            probe_txn(local, thread.tid, op[1])
-                        if machine.completed_transactions >= total:
-                            thread.op_index = i
-                            stats.cpu_time_ns += local - start
-                            # Leave the thread RUNNING; finalization
-                            # re-arms the CPU (mirrors _op_txn_end).
-                            target_time = local
-                            break
-                    elif code == OP_LOCK:
-                        mutex = locks.mutex(op[1])
-                        access(cpu, mutex.address, True, local)
-                        local += 1
-                        if mutex.try_acquire(thread.tid):
-                            thread.blocked_on_lock = None
-                            i += 1
-                        else:
-                            # Spin-then-block; op NOT consumed (the
-                            # woken thread re-runs the acquire and may
-                            # find the lock barged).
-                            local += spin_ns
-                            mutex.enqueue_waiter(thread.tid)
-                            thread.blocked_on_lock = mutex.lock_id
-                            stats.lock_blocks += 1
-                            thread.op_index = i
-                            stats.cpu_time_ns += local - start
-                            if probe_lock is not None:
-                                probe_lock("block", local, thread.tid, mutex.lock_id)
-                            scheduler.block(cpu, thread, ThreadState.BLOCKED_LOCK)
-                            break
-                    elif code == OP_UNLOCK:
-                        mutex = locks.mutex(op[1])
-                        access(cpu, mutex.address, True, local)
-                        local += 1
-                        next_tid = mutex.release(thread.tid)
-                        i += 1
-                        if next_tid is not None:
-                            if probe_lock is not None:
-                                probe_lock("handoff", local, next_tid, mutex.lock_id)
-                            heapq.heappush(
-                                wakeups, (local + wakeup_latency, seq, next_tid)
-                            )
-                            seq += 1
-                    elif code == OP_IO:
-                        i += 1
-                        thread.op_index = i
-                        stats.cpu_time_ns += local - start
-                        scheduler.block(cpu, thread, ThreadState.BLOCKED_IO)
-                        heapq.heappush(wakeups, (local + op[1], seq, thread.tid))
-                        seq += 1
-                        break
-                    elif code == OP_BARRIER:
-                        barrier = locks.barrier(op[1], op[2])
-                        i += 1
-                        released = barrier.arrive(thread.tid)
-                        if released is None:
-                            thread.op_index = i
-                            stats.cpu_time_ns += local - start
-                            scheduler.block(
-                                cpu, thread, ThreadState.BLOCKED_BARRIER
-                            )
-                            break
-                        wake = local + wakeup_latency
-                        for other in released:
-                            if other != thread.tid:
-                                heapq.heappush(wakeups, (wake, seq, other))
-                                seq += 1
-                    elif code == OP_YIELD:
-                        i += 1
-                        thread.op_index = i
-                        stats.cpu_time_ns += local - start
-                        scheduler.preempt(cpu, thread)
-                        break
+                    buf = thread.op_buffer
+                    buf_len = len(buf)
+                    i = 0
+                op = buf[i]
+                code = op[0]
+                if code == OP_MEM:
+                    # Each data reference costs 1 ns on the
+                    # functional clock: keeps slices finite for any
+                    # op mix and keeps reference order sane.  The L1
+                    # read-hit / RW-write-hit case is inlined
+                    # (identical counters and MRU move); everything
+                    # else takes the full functional access.
+                    block = op[1] // block_bytes
+                    lines = l1d_sets[block % l1d_n]
+                    line = lines.get(block)
+                    is_write = op[2]
+                    if line is not None and (
+                        not is_write or line.code == _RW
+                    ):
+                        del lines[block]
+                        lines[block] = line
+                        l1d_stats.hits += 1
+                        if is_write:
+                            line.dirty = True
+                        hstats.accesses += 1
+                        hstats.l1_hits += 1
                     else:
-                        raise ValueError(f"unknown opcode {op_name(code)}")
-                    if local >= slice_end:
-                        # Slice expired; the thread stays RUNNING and
-                        # continues next round.
+                        access(cpu, op[1], is_write, local)
+                    local += 1
+                    i += 1
+                elif code == OP_CPU:
+                    n = op[1]
+                    functional_advance(n, branch_ctx)
+                    local += n
+                    block = op[2] // block_bytes
+                    lines = l1i_sets[block % l1i_n]
+                    line = lines.get(block)
+                    if line is not None:
+                        del lines[block]
+                        lines[block] = line
+                        l1i_stats.hits += 1
+                        hstats.accesses += 1
+                        hstats.l1_hits += 1
+                    else:
+                        access(cpu, op[2], False, local, True)
+                    stats.instructions += n
+                    i += 1
+                elif code == OP_TXN_BEGIN:
+                    i += 1
+                elif code == OP_TXN_END:
+                    i += 1
+                    machine.completed_transactions += 1
+                    workload_clock.total_transactions += 1
+                    stats.transactions += 1
+                    if txn_log is not None:
+                        txn_log.append((local, op[1]))
+                    if probe_txn is not None:
+                        probe_txn(local, thread.tid, op[1])
+                    if machine.completed_transactions >= total:
                         thread.op_index = i
                         stats.cpu_time_ns += local - start
+                        # Leave the thread RUNNING; finalization
+                        # re-arms the CPU (mirrors _op_txn_end).
+                        target_time = local
                         break
-                if target_time is not None:
+                elif code == OP_LOCK:
+                    mutex = locks.mutex(op[1])
+                    access(cpu, mutex.address, True, local)
+                    local += 1
+                    if mutex.try_acquire(thread.tid):
+                        thread.blocked_on_lock = None
+                        i += 1
+                    else:
+                        # Spin-then-block; op NOT consumed (the
+                        # woken thread re-runs the acquire and may
+                        # find the lock barged).
+                        local += spin_ns
+                        mutex.enqueue_waiter(thread.tid)
+                        thread.blocked_on_lock = mutex.lock_id
+                        stats.lock_blocks += 1
+                        thread.op_index = i
+                        stats.cpu_time_ns += local - start
+                        if probe_lock is not None:
+                            probe_lock("block", local, thread.tid, mutex.lock_id)
+                        scheduler.block(cpu, thread, ThreadState.BLOCKED_LOCK)
+                        break
+                elif code == OP_UNLOCK:
+                    mutex = locks.mutex(op[1])
+                    access(cpu, mutex.address, True, local)
+                    local += 1
+                    next_tid = mutex.release(thread.tid)
+                    i += 1
+                    if next_tid is not None:
+                        if probe_lock is not None:
+                            probe_lock("handoff", local, next_tid, mutex.lock_id)
+                        heapq.heappush(
+                            wakeups, (local + wakeup_latency, seq, next_tid)
+                        )
+                        seq += 1
+                elif code == OP_IO:
+                    i += 1
+                    thread.op_index = i
+                    stats.cpu_time_ns += local - start
+                    scheduler.block(cpu, thread, ThreadState.BLOCKED_IO)
+                    heapq.heappush(wakeups, (local + op[1], seq, thread.tid))
+                    seq += 1
+                    break
+                elif code == OP_BARRIER:
+                    barrier = locks.barrier(op[1], op[2])
+                    i += 1
+                    released = barrier.arrive(thread.tid)
+                    if released is None:
+                        thread.op_index = i
+                        stats.cpu_time_ns += local - start
+                        scheduler.block(
+                            cpu, thread, ThreadState.BLOCKED_BARRIER
+                        )
+                        break
+                    wake = local + wakeup_latency
+                    for other in released:
+                        if other != thread.tid:
+                            heapq.heappush(wakeups, (wake, seq, other))
+                            seq += 1
+                elif code == OP_YIELD:
+                    i += 1
+                    thread.op_index = i
+                    stats.cpu_time_ns += local - start
+                    scheduler.preempt(cpu, thread)
+                    break
+                else:
+                    raise ValueError(f"unknown opcode {op_name(code)}")
+                if local >= slice_end:
+                    # Slice expired; the thread stays RUNNING and
+                    # continues next round.
+                    thread.op_index = i
+                    stats.cpu_time_ns += local - start
                     break
             if target_time is not None:
                 break
+        if target_time is not None:
+            break
 
-            if not did_work:
-                if wakeups:
-                    # Every CPU idle: jump the functional clock to the
-                    # next wake-up (entries still heaped are all > now).
-                    now = wakeups[0][0]
-                    continue
-                if machine.live_threads > 0:
-                    states = {
-                        t.tid: t.state.value
-                        for t in threads.values()
-                        if t.state is not ThreadState.FINISHED
-                    }
-                    raise SimulationStall(
-                        f"functional fast-forward drained with "
-                        f"{machine.live_threads} live threads; states: {states}"
-                    )
-                break  # all threads finished before reaching the target
-            now = slice_end
-    finally:
-        hierarchy.set_functional(False)
+        if not did_work:
+            if wakeups:
+                # Every CPU idle: jump the functional clock to the
+                # next wake-up (entries still heaped are all > now).
+                now = wakeups[0][0]
+                continue
+            if machine.live_threads > 0:
+                states = {
+                    t.tid: t.state.value
+                    for t in threads.values()
+                    if t.state is not ThreadState.FINISHED
+                }
+                raise SimulationStall(
+                    f"functional fast-forward drained with "
+                    f"{machine.live_threads} live threads; states: {states}"
+                )
+            break  # all threads finished before reaching the target
+        now = slice_end
 
     # ------------------------------------------------------------------
     # Finalize: re-arm the timed event loop.  The clock advances to the
@@ -418,233 +394,3 @@ def fast_forward_transactions(
     if timed_out:
         machine.timed_out = True
     return final_now
-
-
-def _vector_slice(
-    machine, cpu, thread, now, slice_end, total,
-    scheduler, run_queues, access,
-    locks, cores, workload_clock, txn_log, probe_lock,
-    probe_txn, hstats, block_bytes, l1i_caches,
-    l1d_caches, wakeups, seq, spin_ns, wakeup_latency,
-):
-    """One functional slice under the ``vector`` backend.
-
-    The scalar slice loop in :func:`fast_forward_transactions` with the
-    per-op counter writes deferred into span sums: an L1-hitting
-    ``OP_MEM``/``OP_CPU`` op touches only the set dict (the identical
-    lookup + MRU move) and integer locals; the hierarchy/l1 hit counters
-    and the instruction/branch counters are flushed as sums at every
-    slice exit and before any rare-opcode branch.  Misses keep the span
-    open: ``access_functional`` only *adds* to the deferred counters and
-    nothing observes them until the next flush point (no probe collector
-    reads hierarchy stats mid-run; the verify checkers read them at
-    ``finalize``).  All scheduler/lock/wakeup transitions are verbatim
-    from the scalar loop, so state evolution is bit-identical.
-
-    Returns ``(seq, target_time)`` -- ``target_time`` is None unless the
-    transaction target was reached inside this slice.
-    """
-    from repro.system.machine import _NEVER
-
-    local = now
-    start = now
-    stats = thread.stats
-    run_queue = run_queues[cpu]
-    deadline = thread.quantum_deadline if run_queue else _NEVER
-    core = cores[cpu]
-    branch_ctx = thread.branch_ctx
-    buf = thread.op_buffer
-    i = thread.op_index
-    buf_len = len(buf)
-    l1i = l1i_caches[cpu]
-    l1i_sets = l1i._sets
-    l1i_n = l1i.n_sets
-    l1i_stats = l1i.stats
-    l1d = l1d_caches[cpu]
-    l1d_sets = l1d._sets
-    l1d_n = l1d.n_sets
-    l1d_stats = l1d.stats
-    target_time = None
-    # Deferred span sums (see docstring).
-    d_hits = 0
-    i_hits = 0
-    insns = 0
-    branches = 0
-    while True:
-        if local >= deadline:
-            if d_hits or i_hits or insns:
-                hits = d_hits + i_hits
-                hstats.accesses += hits
-                hstats.l1_hits += hits
-                l1d_stats.hits += d_hits
-                l1i_stats.hits += i_hits
-                core.instructions_retired += insns
-                stats.instructions += insns
-                branch_ctx.counter += branches
-            thread.op_index = i
-            stats.cpu_time_ns += local - start
-            scheduler.preempt(cpu, thread)
-            break
-        if i >= buf_len:
-            thread.op_index = i
-            if not thread.refill():
-                if d_hits or i_hits or insns:
-                    hits = d_hits + i_hits
-                    hstats.accesses += hits
-                    hstats.l1_hits += hits
-                    l1d_stats.hits += d_hits
-                    l1i_stats.hits += i_hits
-                    core.instructions_retired += insns
-                    stats.instructions += insns
-                    branch_ctx.counter += branches
-                stats.cpu_time_ns += local - start
-                scheduler.block(cpu, thread, ThreadState.FINISHED)
-                machine.live_threads -= 1
-                break
-            buf = thread.op_buffer
-            buf_len = len(buf)
-            i = 0
-        op = buf[i]
-        code = op[0]
-        if code == OP_MEM:
-            block = op[1] // block_bytes
-            lines = l1d_sets[block % l1d_n]
-            line = lines.get(block)
-            is_write = op[2]
-            if line is not None and (not is_write or line.code == _RW):
-                del lines[block]
-                lines[block] = line
-                d_hits += 1
-                if is_write:
-                    line.dirty = True
-            else:
-                access(cpu, op[1], is_write, local)
-            local += 1
-            i += 1
-        elif code == OP_CPU:
-            n = op[1]
-            insns += n
-            branches += n // 5
-            local += n
-            block = op[2] // block_bytes
-            lines = l1i_sets[block % l1i_n]
-            line = lines.get(block)
-            if line is not None:
-                del lines[block]
-                lines[block] = line
-                i_hits += 1
-            else:
-                access(cpu, op[2], False, local, True)
-            i += 1
-        else:
-            # Rare opcode: flush the span, then the scalar branch logic
-            # verbatim (probes and scheduler transitions must observe
-            # fully up-to-date counters).
-            if d_hits or i_hits or insns:
-                hits = d_hits + i_hits
-                hstats.accesses += hits
-                hstats.l1_hits += hits
-                l1d_stats.hits += d_hits
-                l1i_stats.hits += i_hits
-                core.instructions_retired += insns
-                stats.instructions += insns
-                branch_ctx.counter += branches
-                d_hits = i_hits = insns = branches = 0
-            if code == OP_TXN_BEGIN:
-                i += 1
-            elif code == OP_TXN_END:
-                i += 1
-                machine.completed_transactions += 1
-                workload_clock.total_transactions += 1
-                stats.transactions += 1
-                if txn_log is not None:
-                    txn_log.append((local, op[1]))
-                if probe_txn is not None:
-                    probe_txn(local, thread.tid, op[1])
-                if machine.completed_transactions >= total:
-                    thread.op_index = i
-                    stats.cpu_time_ns += local - start
-                    # Leave the thread RUNNING; finalization re-arms
-                    # the CPU (mirrors _op_txn_end).
-                    target_time = local
-                    break
-            elif code == OP_LOCK:
-                mutex = locks.mutex(op[1])
-                access(cpu, mutex.address, True, local)
-                local += 1
-                if mutex.try_acquire(thread.tid):
-                    thread.blocked_on_lock = None
-                    i += 1
-                else:
-                    # Spin-then-block; op NOT consumed (the woken
-                    # thread re-runs the acquire and may find the lock
-                    # barged).
-                    local += spin_ns
-                    mutex.enqueue_waiter(thread.tid)
-                    thread.blocked_on_lock = mutex.lock_id
-                    stats.lock_blocks += 1
-                    thread.op_index = i
-                    stats.cpu_time_ns += local - start
-                    if probe_lock is not None:
-                        probe_lock("block", local, thread.tid, mutex.lock_id)
-                    scheduler.block(cpu, thread, ThreadState.BLOCKED_LOCK)
-                    break
-            elif code == OP_UNLOCK:
-                mutex = locks.mutex(op[1])
-                access(cpu, mutex.address, True, local)
-                local += 1
-                next_tid = mutex.release(thread.tid)
-                i += 1
-                if next_tid is not None:
-                    if probe_lock is not None:
-                        probe_lock("handoff", local, next_tid, mutex.lock_id)
-                    heapq.heappush(
-                        wakeups, (local + wakeup_latency, seq, next_tid)
-                    )
-                    seq += 1
-            elif code == OP_IO:
-                i += 1
-                thread.op_index = i
-                stats.cpu_time_ns += local - start
-                scheduler.block(cpu, thread, ThreadState.BLOCKED_IO)
-                heapq.heappush(wakeups, (local + op[1], seq, thread.tid))
-                seq += 1
-                break
-            elif code == OP_BARRIER:
-                barrier = locks.barrier(op[1], op[2])
-                i += 1
-                released = barrier.arrive(thread.tid)
-                if released is None:
-                    thread.op_index = i
-                    stats.cpu_time_ns += local - start
-                    scheduler.block(cpu, thread, ThreadState.BLOCKED_BARRIER)
-                    break
-                wake = local + wakeup_latency
-                for other in released:
-                    if other != thread.tid:
-                        heapq.heappush(wakeups, (wake, seq, other))
-                        seq += 1
-            elif code == OP_YIELD:
-                i += 1
-                thread.op_index = i
-                stats.cpu_time_ns += local - start
-                scheduler.preempt(cpu, thread)
-                break
-            else:
-                raise ValueError(f"unknown opcode {op_name(code)}")
-        if local >= slice_end:
-            # Slice expired; the thread stays RUNNING and continues
-            # next round.
-            if d_hits or i_hits or insns:
-                hits = d_hits + i_hits
-                hstats.accesses += hits
-                hstats.l1_hits += hits
-                l1d_stats.hits += d_hits
-                l1i_stats.hits += i_hits
-                core.instructions_retired += insns
-                stats.instructions += insns
-                branch_ctx.counter += branches
-            thread.op_index = i
-            stats.cpu_time_ns += local - start
-            break
-    return seq, target_time

@@ -496,7 +496,10 @@ def run_escalated_campaign(
     }
 
     baseline_label = labels[0]
-    sentinel_labels = {spec.configs[i][0] for i in picked}
+    # A list in grid order, not a set: step 4 sums floats over it, and a
+    # hash-ordered walk would make corrected values differ in the last
+    # ulp from one process to the next.
+    sentinel_labels = [spec.configs[i][0] for i in picked]
     confidence = policy.confidence
 
     # ---- 3. tier disagreement on sentinels -> escalate families ------

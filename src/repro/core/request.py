@@ -2,7 +2,7 @@
 
 Every layer of the harness used to thread the same eight facts --
 configuration, workload name/seed/scale/params, per-run config,
-checkpoint, warm-up mode -- as a positional tuple (``make_job``) or as
+checkpoint, warm-up mode -- as a positional tuple or as
 parallel keyword arguments, copied across the runner, the fan-out
 engine, campaign planning, the service wire format, the worker
 execution path, store keys, and the CLI.  Each new per-run dimension

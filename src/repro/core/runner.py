@@ -26,7 +26,6 @@ Two robustness layers sit on top:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.config import RunConfig, SystemConfig
@@ -136,81 +135,20 @@ class RunSample:
         )
 
 
-def make_job(
-    config: SystemConfig,
-    spec: WorkloadSpec,
-    run: RunConfig,
-    seed: int,
-    checkpoint=None,
-    *,
-    warmup_mode: str = "timed",
-) -> tuple:
-    """Deprecated compat shim: build the legacy positional job 8-tuple.
-
-    Before :class:`repro.core.request.RunRequest` existed, every layer
-    threaded a run's identity as this positional tuple.  New code builds
-    a ``RunRequest`` (plus its materialized checkpoint) instead; this
-    shim -- and :func:`_one_run`'s tuple-unpacking branch -- are the only
-    places the 8-tuple survives, kept so external callers keep working
-    through one deprecation cycle.
-    """
-    warnings.warn(
-        "make_job() and positional job tuples are deprecated; build a "
-        "repro.core.request.RunRequest and call execute_request()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return (
-        config,
-        spec.name,
-        spec.seed,
-        spec.scale,
-        spec.params_dict,
-        replace(run, seed=seed),
-        checkpoint,
-        warmup_mode,
-    )
-
-
 def _one_run(job) -> SimulationResult:
     """Worker body (module-level so tests can intercept every execution).
 
-    ``job`` is a ``(RunRequest, checkpoint | None)`` pair -- or, through
-    one deprecation cycle, the legacy positional 8-tuple that
-    :func:`make_job` built, which is converted to a request here.
+    ``job`` is a :class:`RunRequest` or a ``(RunRequest, checkpoint |
+    None)`` pair; anything else is a caller bug and raises ``TypeError``.
     """
     if isinstance(job, RunRequest):
         return execute_request(job)
-    if len(job) == 2 and isinstance(job[0], RunRequest):
-        request, checkpoint = job
-        return execute_request(request, checkpoint)
-    warnings.warn(
-        "positional job tuples are deprecated; pass (RunRequest, checkpoint)",
-        DeprecationWarning,
-        stacklevel=2,
+    if isinstance(job, tuple) and len(job) == 2 and isinstance(job[0], RunRequest):
+        return execute_request(*job)
+    raise TypeError(
+        "job must be a RunRequest or a (RunRequest, checkpoint) pair, "
+        f"got {type(job).__name__}"
     )
-    (
-        config,
-        workload_name,
-        workload_seed,
-        workload_scale,
-        workload_params,
-        run,
-        checkpoint,
-        warmup_mode,
-    ) = job
-    request = RunRequest(
-        config=config,
-        workload=WorkloadSpec(
-            name=workload_name,
-            seed=workload_seed,
-            scale=workload_scale,
-            params=tuple(sorted(dict(workload_params or {}).items())),
-        ),
-        run=run,
-        warmup_mode=warmup_mode,
-    )
-    return execute_request(request, checkpoint)
 
 
 def _one_run_captured(job) -> tuple:

@@ -158,12 +158,6 @@ class MemoryHierarchy:
         self._sharers: dict[int, set[int]] = {}
         # Per-block transaction busy windows (timing-dependent races).
         self._block_busy: dict[int, int] = {}
-        # Functional (timing-free) mode marker.  Toggled by the
-        # fast-forward engine (repro.core.ffwd) around a warm-up leg;
-        # always False on the timed path.  The functional access path
-        # uses its own *_f protocol plumbing, so this is a mode flag for
-        # introspection/assertions, not a hot-path branch.
-        self._functional = False
         # Perturbation stream; reseeded per run by the runner.
         self._perturb = RandomStream(seed=0)
         self._perturb_max = config.perturbation.max_ns
@@ -197,18 +191,6 @@ class MemoryHierarchy:
         and the interesting coherence behaviour is in the misses.
         """
         self._probe_cache = callback
-
-    def set_functional(self, enabled: bool) -> None:
-        """Enter or leave functional (timing-free) mode.
-
-        In functional mode :meth:`access_functional` drives the same
-        L1/L2/directory state transitions as :meth:`access` but the
-        crossbar and DRAM occupancy models are never consulted or
-        mutated, the per-block busy windows are not read or written, and
-        the perturbation stream is not drawn from.  The timed
-        :meth:`access` path does not depend on the flag at all.
-        """
-        self._functional = bool(enabled)
 
     # ------------------------------------------------------------------
     # The access path

@@ -32,7 +32,6 @@ stream, exactly as in the paper's methodology (section 3.3).
 from __future__ import annotations
 
 from repro.config import SystemConfig
-from repro.core.backend import resolve_backend
 from repro.isa import (
     N_OPCODES,
     OP_BARRIER,
@@ -46,7 +45,7 @@ from repro.isa import (
     OP_YIELD,
     op_name,
 )
-from repro.memory.hierarchy import L1_RW_CODE, MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.osmodel.locks import LockTable
 from repro.osmodel.scheduler import Scheduler
 from repro.osmodel.thread import SimThread, ThreadState
@@ -54,7 +53,6 @@ from repro.proc import make_core
 from repro.proc.simple import SimpleCore
 from repro.sim.events import EV_CORE, EV_READY, EventQueue, SimulationClock
 from repro.sim.rng import stream_seed
-from repro.system.trace import TraceConstants
 from repro.workloads.base import (
     Workload,
     WorkloadClock,
@@ -86,14 +84,9 @@ class Machine:
         workload: Workload,
         *,
         build_threads: bool = True,
-        backend: str | None = None,
     ) -> None:
         self.config = config
         self.workload = workload
-        # Execution backend (repro.core.backend): "python" or "vector".
-        # Strategy, not state: never folded into RunConfig or store keys,
-        # excluded from freeze templates, resolved per process.
-        self.backend = resolve_backend(backend)
         self.clock = SimulationClock()
         self.events = EventQueue()
         self.hierarchy = MemoryHierarchy(config)
@@ -173,21 +166,6 @@ class Machine:
         table[OP_TXN_END] = self._op_txn_end
         table[OP_YIELD] = self._op_yield
         self._dispatch = table
-        # Slice-runner selection (repro.core.backend).  The vector runner
-        # assumes SimpleCore timing (its decoded hit deltas bake in IPC=1
-        # + blocking fetch); any other core model, or an attached op
-        # probe (see attach_probes), runs the reference scalar loop.
-        self._trace_consts = TraceConstants(
-            self.config.l1d.block_bytes,
-            self.config.l1d.hit_latency_ns,
-            self.config.l1i.hit_latency_ns,
-            self.hierarchy.l1d[0].n_sets,
-            self.hierarchy.l1i[0].n_sets,
-        )
-        if simple and getattr(self, "backend", "python") == "vector":
-            self._slice_fn = self._run_slice_vector
-        else:
-            self._slice_fn = self._run_slice
 
     # ------------------------------------------------------------------
     # Instrumentation (the probe bus)
@@ -208,11 +186,6 @@ class Machine:
             self._dispatch = [
                 self._wrap_op_handler(handler, op_cbs) for handler in self._dispatch
             ]
-            # Per-op callbacks must observe every dispatched op; the
-            # vector runner consumes fast ops without dispatching, so it
-            # stands down until the probes detach (detach_probes rebuilds
-            # the table and re-selects the backend runner).
-            self._slice_fn = self._run_slice
         self._probe_lock = bus.merged("lock")
         self._probe_txn = bus.merged("txn")
         self.hierarchy.set_cache_probe(bus.merged("cache"))
@@ -326,7 +299,7 @@ class Machine:
             now += self.config.os.context_switch_ns
         else:
             thread = self.scheduler.threads[current_tid]
-        self._slice_fn(cpu, thread, now)
+        self._run_slice(cpu, thread, now)
 
     def _run_slice(self, cpu: int, thread: SimThread, now: int) -> None:
         """Execute the thread on ``cpu`` until it blocks, is preempted, the
@@ -375,231 +348,6 @@ class Machine:
                 thread.stats.cpu_time_ns += now - start
                 schedule(now, EV_CORE, cpu)
                 return
-
-    # ------------------------------------------------------------------
-    # The vector slice runner (repro.core.backend, DESIGN.md section 14)
-    # ------------------------------------------------------------------
-    def set_backend(self, name: str | None = None) -> None:
-        """Re-select the execution backend for this machine.
-
-        ``name`` resolves through :func:`repro.core.backend.resolve_backend`
-        (None re-reads the process override / environment).  Safe at any
-        quiesced point; results are bit-identical either way.
-        """
-        self.backend = resolve_backend(name)
-        if self.probes is not None:
-            bus = self.probes
-            self.detach_probes()
-            self.attach_probes(bus)
-        else:
-            self._build_dispatch()
-
-    def _run_slice_vector(self, cpu: int, thread: SimThread, now: int) -> None:
-        """:meth:`_run_slice`'s batched twin for all-SimpleCore machines.
-
-        Runs of consecutive ``OP_CPU``/``OP_MEM`` ops whose accesses
-        L1-hit are consumed as one *span*: the dispatch table, the
-        ``hierarchy.access`` call layer, and the per-op counter updates
-        are all removed from the loop -- a hit touches only the L1 set
-        dict (the identical lookup + MRU move the scalar path performs),
-        time advances by the same constants, and the stats/instruction/
-        branch counters accumulate in locals flushed when the span ends
-        (:meth:`_flush_span`; integer sums, so deferral is exact).
-
-        The span executor reads the op tuples directly rather than
-        through the decoded-trace arrays of :mod:`repro.system.trace`:
-        op buffers are a few hundred ops and each op executes exactly
-        once, so any per-buffer array decode is per-op cost -- measured
-        at ~300-360 ns/op against ~200-400 ns/op of interpreter savings,
-        i.e. net negative at this buffer size (DESIGN.md section 14
-        records the numbers; the decode layer remains the array-level
-        *model* of this loop, pinned to it by the property tests).
-
-        Bail-out is op-exact: an L1 miss, a store to a read-only line, or
-        any non-CPU/MEM opcode flushes the accumulators, syncs
-        ``thread.op_index``, and dispatches *that op* through the
-        unmodified scalar handler before re-entering the fast loop --
-        the scalar path never sees a half-executed op, so every cache
-        transition, perturbation draw, and counter lands in the same
-        order as under the python backend.  Quantum deadlines are
-        checked before each op and the slice boundary after each op,
-        exactly as in :meth:`_run_slice`.
-        """
-        os_cfg = self.config.os
-        slice_end = now + (os_cfg.interleave_ns or INTERLEAVE_NS)
-        start = now
-        dispatch = self._dispatch
-        run_queue = self.scheduler.run_queues[cpu]
-        schedule = self.events.schedule
-        deadline = thread.quantum_deadline if run_queue else _NEVER
-
-        hierarchy = self.hierarchy
-        access = hierarchy.access
-        hstats = hierarchy.stats
-        l1d_sets = hierarchy.l1d[cpu]._sets
-        l1d_stats = hierarchy.l1d[cpu].stats
-        l1i_sets = hierarchy.l1i[cpu]._sets
-        l1i_stats = hierarchy.l1i[cpu].stats
-        core = self.cores[cpu]
-        tstats = thread.stats
-        branch_ctx = thread.branch_ctx
-        flush_span = self._flush_span
-        consts = self._trace_consts
-        bb = consts.block_bytes
-        hit_d = consts.l1d_hit_ns
-        hit_i = consts.l1i_hit_ns
-        l1d_n = consts.l1d_sets
-        l1i_n = consts.l1i_sets
-
-        buf = thread.op_buffer
-        i = thread.op_index
-        n_ops = len(buf)
-        # Fast-span accumulators, flushed before any scalar excursion.
-        d_hits = 0
-        i_hits = 0
-        insns = 0
-        branches = 0
-
-        while True:
-            if now >= deadline:
-                break  # preempt (flush + requeue below)
-            if i >= n_ops:
-                thread.op_index = i
-                if not thread.refill():
-                    flush_span(
-                        hstats, l1d_stats, l1i_stats, core, tstats,
-                        branch_ctx, d_hits, i_hits, insns, branches,
-                    )
-                    self._finish_thread(cpu, thread, now, start)
-                    return
-                buf = thread.op_buffer
-                i = 0
-                n_ops = len(buf)
-
-            while i < n_ops:
-                op = buf[i]
-                code = op[0]
-                if code == OP_MEM:
-                    addr = op[1]
-                    block = addr // bb
-                    lines = l1d_sets[block % l1d_n]
-                    line = lines.get(block)
-                    w = op[2]
-                    if line is not None and (
-                        not w or line.code == L1_RW_CODE
-                    ):
-                        if w:
-                            line.dirty = True
-                        del lines[block]
-                        lines[block] = line
-                        d_hits += 1
-                        now += hit_d
-                    else:
-                        # Miss or write upgrade: the full scalar access
-                        # path (op_mem_simple minus the call layers).
-                        # The span stays open -- access() only *adds* to
-                        # the counters we defer, and nothing observes
-                        # them until the next flush point.
-                        now += access(cpu, addr, w, now)[0]
-                elif code == OP_CPU:
-                    block = op[2] // bb
-                    lines = l1i_sets[block % l1i_n]
-                    line = lines.get(block)
-                    n = op[1]
-                    if line is not None:
-                        del lines[block]
-                        lines[block] = line
-                        i_hits += 1
-                        insns += n
-                        branches += n // 5
-                        now += n + hit_i
-                    else:
-                        # I-fetch miss: op_cpu_simple's exact sequence
-                        # with the access taken scalar; the span's
-                        # deferred sums stay open (see the data-miss
-                        # branch above).
-                        core.instructions_retired += n
-                        branch_ctx.counter += n // 5
-                        now += n
-                        now += access(cpu, op[2], False, now, True)[0]
-                        tstats.instructions += n
-                else:
-                    # Non-fast opcode: flush, sync, scalar dispatch.
-                    if d_hits or i_hits:
-                        hits = d_hits + i_hits
-                        hstats.accesses += hits
-                        hstats.l1_hits += hits
-                        l1d_stats.hits += d_hits
-                        l1i_stats.hits += i_hits
-                        if insns:
-                            core.instructions_retired += insns
-                            tstats.instructions += insns
-                            branch_ctx.counter += branches
-                        d_hits = i_hits = insns = branches = 0
-                    thread.op_index = i
-                    now = dispatch[code](cpu, thread, op, now, start)
-                    if now < 0:
-                        return  # handler ended the slice
-                    i = thread.op_index
-                    if now >= slice_end:
-                        tstats.cpu_time_ns += now - start
-                        schedule(now, EV_CORE, cpu)
-                        return
-                    if now >= deadline:
-                        break  # preempt before the next op
-                    continue
-                i += 1
-                if now >= slice_end:
-                    # Slice expired: flush and hand the CPU back.
-                    flush_span(
-                        hstats, l1d_stats, l1i_stats, core, tstats,
-                        branch_ctx, d_hits, i_hits, insns, branches,
-                    )
-                    thread.op_index = i
-                    tstats.cpu_time_ns += now - start
-                    schedule(now, EV_CORE, cpu)
-                    return
-                if now >= deadline:
-                    break  # preempt before the next op
-            else:
-                # Buffer exhausted cleanly: refill on the next pass.
-                continue
-            break  # deadline fired inside the inner loop
-
-        # Quantum deadline: flush, then preempt exactly as _run_slice.
-        if d_hits or i_hits:
-            flush_span(
-                hstats, l1d_stats, l1i_stats, core, tstats,
-                branch_ctx, d_hits, i_hits, insns, branches,
-            )
-        thread.op_index = i
-        tstats.cpu_time_ns += now - start
-        self.scheduler.preempt(cpu, thread)
-        schedule(now + os_cfg.context_switch_ns, EV_CORE, cpu)
-
-    @staticmethod
-    def _flush_span(
-        hstats, l1d_stats, l1i_stats, core, tstats, branch_ctx,
-        d_hits, i_hits, insns, branches,
-    ) -> None:
-        """Flush a fast span's deferred counters.
-
-        Every counter is a plain integer sum, so deferring and flushing
-        is arithmetically identical to the scalar path's per-op
-        increments; the flush always lands before any code that could
-        observe the counters (scalar handlers, probes, digests).
-        """
-        hits = d_hits + i_hits
-        if hits:
-            hstats.accesses += hits
-            hstats.l1_hits += hits
-            l1d_stats.hits += d_hits
-            l1i_stats.hits += i_hits
-        if insns:
-            core.instructions_retired += insns
-            tstats.instructions += insns
-        if branches:
-            branch_ctx.counter += branches
 
     # ------------------------------------------------------------------
     # Op handlers (dispatch-table targets)
@@ -791,18 +539,7 @@ class Machine:
         state = {
             key: value
             for key, value in self.__dict__.items()
-            # Process-local execution machinery: the dispatch closures,
-            # the backend selection and its caches are rebuilt by thaw
-            # (the backend is strategy, not state -- a template frozen
-            # under one backend thaws under the thawing process's).
-            if key
-            not in (
-                "_dispatch",
-                "_simple_handlers",
-                "_slice_fn",
-                "_trace_consts",
-                "backend",
-            )
+            if key not in ("_dispatch", "_simple_handlers")
         }
         if stream_memo_enabled():
             state["_stream_memo"] = export_stream_memo(self.workload.stream_key())
@@ -833,7 +570,6 @@ class Machine:
             for thread in machine.scheduler.threads.values():
                 bind_memo(thread.program)
         machine._simple_handlers = None
-        machine.backend = resolve_backend()
         machine._build_dispatch()
         return machine
 

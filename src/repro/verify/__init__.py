@@ -26,7 +26,6 @@ Every future performance PR must keep ``python -m repro verify
 """
 
 from repro.verify.differential import (
-    check_backend_agreement,
     check_checkpoint_convergence,
     check_core_model_agreement,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "run_fuzz",
     "check_core_model_agreement",
     "check_checkpoint_convergence",
-    "check_backend_agreement",
     "VerifyReport",
     "run_verify",
 ]

@@ -266,86 +266,3 @@ def check_functional_warmup_agreement(
     return DifferentialResult(
         name="functional warm-up agreement", mismatches=mismatches, notes=notes
     )
-
-
-def check_backend_agreement(
-    workload_name: str = "oltp",
-    transactions: int = 60,
-    seed: int = 5,
-    n_cpus: int = 4,
-) -> DifferentialResult:
-    """Python vs. vector execution backend: bit-identical everything.
-
-    Unlike the other differentials, *no* degree of freedom is admitted:
-    the vector backend (:mod:`repro.core.backend`) is a pure execution
-    strategy, so a full multi-CPU contended run must agree on end time,
-    transaction log, every hierarchy counter including the perturbation
-    total, cache occupancy *including LRU order* (the fast path performs
-    the identical MRU move), lock state, and per-thread counters -- for
-    both the timed engine and the functional fast-forward engine.
-    """
-    from repro.core.backend import vector_available
-
-    notes: list[str] = []
-    if not vector_available():
-        return DifferentialResult(
-            name="backend agreement",
-            mismatches=[],
-            notes=["vector backend unavailable (no numpy); check skipped"],
-        )
-
-    config = SystemConfig(n_cpus=n_cpus)
-    max_time = RunConfig().max_time_ns
-
-    def build(backend: str) -> Machine:
-        machine = Machine(
-            config, make_workload(workload_name), backend=backend
-        )
-        machine.hierarchy.seed_perturbation(stream_seed(seed, "backend"))
-        return machine
-
-    mismatches: list[str] = []
-    for mode in ("timed", "functional"):
-        py = build("python")
-        vec = build("vector")
-        if mode == "timed":
-            end_py = py.run_until_transactions(transactions, max_time_ns=max_time)
-            end_vec = vec.run_until_transactions(transactions, max_time_ns=max_time)
-        else:
-            end_py = py.fast_forward_transactions(transactions, max_time_ns=max_time)
-            end_vec = vec.fast_forward_transactions(transactions, max_time_ns=max_time)
-        if end_py != end_vec:
-            mismatches.append(f"{mode}: end time python={end_py} vector={end_vec}")
-        if py.completed_transactions != vec.completed_transactions:
-            mismatches.append(
-                f"{mode}: completed python={py.completed_transactions} "
-                f"vector={vec.completed_transactions}"
-            )
-        if py.transaction_log != vec.transaction_log:
-            mismatches.append(f"{mode}: transaction logs diverge")
-        stats_py, stats_vec = py.hierarchy.stats, vec.hierarchy.stats
-        for name in COUNTER_FIELDS + ("perturbation_total_ns",):
-            if getattr(stats_py, name) != getattr(stats_vec, name):
-                mismatches.append(
-                    f"{mode}: {name} python={getattr(stats_py, name)} "
-                    f"vector={getattr(stats_vec, name)}"
-                )
-        if py.hierarchy.occupancy(include_order=True) != vec.hierarchy.occupancy(
-            include_order=True
-        ):
-            mismatches.append(f"{mode}: cache occupancy/LRU order diverges")
-        if py.locks.occupancy() != vec.locks.occupancy():
-            mismatches.append(f"{mode}: lock occupancy diverges")
-        for tid, thread_py in py.scheduler.threads.items():
-            thread_vec = vec.scheduler.threads[tid]
-            for name in ("instructions", "transactions", "cpu_time_ns"):
-                if getattr(thread_py.stats, name) != getattr(thread_vec.stats, name):
-                    mismatches.append(
-                        f"{mode}: thread {tid} {name} "
-                        f"python={getattr(thread_py.stats, name)} "
-                        f"vector={getattr(thread_vec.stats, name)}"
-                    )
-                    break
-    return DifferentialResult(
-        name="backend agreement", mismatches=mismatches, notes=notes
-    )

@@ -25,7 +25,6 @@ from repro.sim.rng import stream_seed
 from repro.system.machine import Machine, SimulationStall
 from repro.verify.differential import (
     DifferentialResult,
-    check_backend_agreement,
     check_checkpoint_convergence,
     check_core_model_agreement,
     check_functional_warmup_agreement,
@@ -164,8 +163,7 @@ def run_verify(fuzz: int = 0, seed: int = 1, progress=None) -> VerifyReport:
         check_core_model_agreement,
         check_checkpoint_convergence,
         check_functional_warmup_agreement,
-        check_backend_agreement,
-    ):
+        ):
         result = check()
         report.differentials.append(result)
         say(f"{result.name}: {'ok' if result.ok else 'FAIL'}")

@@ -136,8 +136,14 @@ def stream_memo_enabled() -> bool:
 
 
 def reset_stream_memo(reset_stats: bool = True) -> None:
-    """Drop all memoized streams (tests; long-lived campaign workers)."""
-    _STREAM_MEMO.clear()
+    """Drop all memoized streams (tests; long-lived campaign workers).
+
+    Buckets are emptied in place, not dropped from the registry: programs
+    on live machines hold their bucket by reference, so they keep sharing
+    it with every machine built after the reset.
+    """
+    for bucket in _STREAM_MEMO.values():
+        bucket.clear()
     if reset_stats:
         _MEMO_STATS.hits = 0
         _MEMO_STATS.misses = 0

@@ -7,6 +7,25 @@ import pytest
 from repro.cli import build_parser, main
 
 
+class TestRemovedBackendSelector:
+    """There is one slice runner; nothing is left to select."""
+
+    def test_sim_backend_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--sim-backend=vector", "run"])
+        assert "unrecognized arguments: --sim-backend" in capsys.readouterr().err
+
+    def test_stray_env_var_changes_no_digest(self, monkeypatch):
+        from tests.test_golden_determinism import (
+            SCENARIOS,
+            golden_digest,
+            load_golden,
+        )
+
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "vector")
+        assert golden_digest(SCENARIOS["oltp"]) == load_golden()["oltp"]
+
+
 class TestParser:
     def test_workloads_command(self):
         args = build_parser().parse_args(["workloads"])

@@ -1,6 +1,11 @@
 """The mixed-fidelity escalation ladder and the ffwd measurement tier."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +300,52 @@ class TestEscalationLadder:
         text = report.render()
         assert "escalation ladder" in text
         assert "base" in text
+
+
+_HASHSEED_LADDER = """
+import json, sys
+from repro.campaign.plan import CampaignSpec
+from repro.config import RunConfig, SystemConfig
+from repro.core.fidelity import EscalationPolicy, run_escalated_campaign
+from repro.core.request import WorkloadSpec
+from repro.store import RunStore
+
+base = SystemConfig(n_cpus=2).with_rob_entries(32)
+spec = CampaignSpec(
+    configs=[("dram=180", base)]
+    + [(f"dram={ns}", base.with_dram_latency(ns)) for ns in (181, 182, 183, 184)],
+    workloads=[WorkloadSpec.resolve("oltp", workload_params={"threads_per_cpu": 2})],
+    run=RunConfig(measured_transactions=15, warmup_transactions=5, seed=11),
+    n_runs=3,
+    name="hashseed",
+)
+report = run_escalated_campaign(
+    spec, RunStore(sys.argv[1]), policy=EscalationPolicy(sentinel_fraction=0.6)
+)
+print(json.dumps({
+    o.config_label: o.values for o in report.outcomes if o.kind == "corrected"
+}))
+"""
+
+
+def test_corrected_values_do_not_depend_on_hash_seed(tmp_path):
+    """Three same-family sentinels feed one least-squares fit; walking
+    them in set order made the float sums -- and so every stored
+    corrected value -- differ in the last ulp between processes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASHSEED_LADDER, str(tmp_path / hash_seed)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for hash_seed in ("0", "1")
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outputs.append(json.loads(out))
+    assert sorted(outputs[0]) == ["dram=181", "dram=183"]
+    # == on floats, not approx: json round-trips them exactly.
+    assert outputs[0] == outputs[1]

@@ -26,14 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import RunConfig, SystemConfig
-from repro.core.backend import use_backend, vector_available
 from repro.system.simulation import run_simulation
 from repro.workloads.registry import make_workload
-
-#: execution backends the digests must agree under (repro.core.backend):
-#: the vector backend is a strategy, not a model change, so it must
-#: reproduce the python digests bit-for-bit.
-BACKENDS = ("python", "vector")
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 
@@ -104,20 +98,18 @@ def load_golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_matches_golden_digest(name, backend):
-    if backend == "vector" and not vector_available():
-        pytest.skip("numpy unavailable: vector backend degenerates to python")
+# The ``-python`` suffix keeps these test ids what they have always been.
+@pytest.mark.parametrize(
+    "name", sorted(SCENARIOS), ids=[f"{name}-python" for name in sorted(SCENARIOS)]
+)
+def test_matches_golden_digest(name):
     golden = load_golden()
     assert name in golden, f"no golden digest for scenario {name!r}; regenerate"
-    with use_backend(backend):
-        digest = golden_digest(SCENARIOS[name])
+    digest = golden_digest(SCENARIOS[name])
     assert digest == golden[name], (
-        f"scenario {name!r} diverged from the committed golden digest "
-        f"under the {backend!r} backend: the simulator's observable "
-        "behaviour changed for a fixed (config, seed).  If this was "
-        "intentional, regenerate with "
+        f"scenario {name!r} diverged from the committed golden digest: "
+        "the simulator's observable behaviour changed for a fixed "
+        "(config, seed).  If this was intentional, regenerate with "
         "`python tests/test_golden_determinism.py --regen`."
     )
 

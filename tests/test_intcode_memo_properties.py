@@ -206,3 +206,30 @@ class TestStreamMemoIdentity:
             if before is None:
                 before = stream_memo_stats().hits
         assert stream_memo_stats().hits - before >= len(script) - 1
+
+def test_reset_keeps_live_machines_attached():
+    """``reset_stream_memo`` empties the buckets in place: a machine
+    built before the reset and one built after it on the same stream key
+    still share one bucket, so what the first builds the second replays."""
+    from repro.workloads.base import (
+        reset_stream_memo,
+        stream_memo_enabled,
+        stream_memo_stats,
+    )
+
+    if not stream_memo_enabled():
+        pytest.skip("REPRO_STREAM_MEMO=0")
+
+    def build():
+        machine = Machine(SystemConfig(n_cpus=2), make_workload("specjbb", seed=77))
+        machine.hierarchy.seed_perturbation(3)
+        return machine
+
+    before_reset = build()
+    reset_stream_memo()
+    after_reset = build()
+    before_reset.run_until_transactions(20, max_time_ns=10**12)
+    stats = stream_memo_stats()
+    hits = stats.hits
+    after_reset.run_until_transactions(20, max_time_ns=10**12)
+    assert stats.hits - hits >= 20

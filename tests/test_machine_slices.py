@@ -1,5 +1,6 @@
 """Engine edge cases: interleave slices, idle CPUs, quantum, barging."""
 
+from repro.probes import ProbeBus
 from repro.system.machine import INTERLEAVE_NS
 from tests.conftest import CODE, machine_for
 
@@ -44,6 +45,40 @@ class TestQuantum:
             t.stats.context_switches for t in machine.scheduler.threads.values()
         )
         assert switches >= 4
+
+    def test_deadline_mid_buffer_preempts_at_exact_op(self):
+        """The quantum deadline is checked before every op: a slice that
+        reaches it in the middle of an op buffer (and after several
+        interleave-slice re-entries) preempts before the first op that
+        would start at or past it -- no op early, no op late."""
+        quantum, insns, ops_per_txn = 1_000, 100, 40
+        machine = machine_for(
+            [("cpu", insns, CODE)] * ops_per_txn,
+            threads=2,
+            n_cpus=1,
+            repeats=1,
+            quantum_ns=quantum,
+            interleave_ns=500,
+        )
+        starts, dispatches = [], []
+        bus = ProbeBus()
+        bus.on_op(lambda now, cpu, tid, op: starts.append((now, tid)))
+        bus.on_sched(lambda now, cpu, tid: dispatches.append((now, tid)))
+        machine.attach_probes(bus)
+        machine.run_until_transactions(2, max_time_ns=10**10)
+
+        switch = machine.config.os.context_switch_ns
+        # From the second dispatch on the code block is L1I-resident,
+        # so every op costs exactly this much.
+        op_cost = insns + machine.config.l1i.hit_latency_ns
+        (picked, tid), (next_picked, next_tid) = dispatches[1:3]
+        assert tid != next_tid
+        run = [now for now, _tid in starts if picked <= now < next_picked]
+        expected_ops = -(-(quantum - switch) // op_cost)  # ceil
+        assert 0 < expected_ops < ops_per_txn  # the deadline lands mid-buffer
+        assert run == [picked + switch + k * op_cost for k in range(expected_ops)]
+        assert run[-1] < picked + quantum <= run[-1] + op_cost
+        assert next_picked == run[-1] + op_cost + switch
 
     def test_lone_thread_never_preempted(self):
         machine = machine_for(

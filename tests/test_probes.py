@@ -155,6 +155,41 @@ class TestMachineIntegration:
 
         assert run(False) == run(True)
 
+    def test_mid_run_op_probe_attach_is_bit_identical(self):
+        """Swapping the dispatch table for op-probe wrappers between two
+        legs of one run must neither skip nor re-execute an op: end
+        time, transaction log, every counter and the LRU order all match
+        a run that was never probed."""
+
+        def run(attach):
+            machine = small_machine(n_cpus=4, seed=11)
+            machine.transaction_log = []
+            seen = []
+            # Both runs stop at 15: reaching a target ends that slice, so
+            # only equally split runs are comparable.
+            machine.run_until_transactions(15, max_time_ns=10**12)
+            if attach:
+                bus = ProbeBus()
+                bus.on_op(lambda now, cpu, tid, op: seen.append(op[0]))
+                machine.attach_probes(bus)
+            end = machine.run_until_transactions(30, max_time_ns=10**12)
+            state = (
+                end,
+                machine.transaction_log,
+                machine.hierarchy.stats,
+                machine.hierarchy.occupancy(include_order=True),
+                [
+                    (t.stats.instructions, t.stats.cpu_time_ns, t.op_index)
+                    for t in machine.scheduler.threads.values()
+                ],
+            )
+            return state, seen
+
+        plain, _ = run(False)
+        probed, seen = run(True)
+        assert seen.count(OP_TXN_END) == 15
+        assert probed == plain
+
     def test_lock_probe_event_kinds(self):
         machine = small_machine(n_cpus=4)
         events = []

@@ -1,25 +1,19 @@
-"""Tests for multi-run orchestration internals.
-
-``TestLegacyJobTuples`` is the deprecation test for the positional
-8-tuple job form: the shims in ``repro.core.runner`` must keep accepting
-it (warning) and produce results bit-identical to the ``RunRequest``
-path until the deprecation cycle ends.
-"""
+"""Tests for multi-run orchestration internals."""
 
 import pytest
 
 from repro.config import RunConfig, SystemConfig
-from repro.core.request import RunRequest, WorkloadSpec, execute_request
-from repro.core.runner import _one_run, make_job, run_space
+from repro.core.request import RunRequest, WorkloadSpec
+from repro.core.runner import _one_run, run_space
 from repro.workloads.registry import make_workload
 
 CONFIG = SystemConfig(n_cpus=4)
 
 
 class TestLegacyJobTuples:
-    """Deprecation shims for the pre-RunRequest positional job tuples."""
+    """The pre-RunRequest positional job tuples are gone, not half-accepted."""
 
-    def test_tuple_job_warns_and_still_runs(self):
+    def test_positional_tuple_job_raises_type_error(self):
         job = (
             CONFIG,
             "oltp",
@@ -30,35 +24,26 @@ class TestLegacyJobTuples:
             None,
             "timed",
         )
-        with pytest.warns(DeprecationWarning, match="positional job tuples"):
-            result = _one_run(job)
-        assert result.measured_transactions == 15
-
-    def test_make_job_warns_and_matches_request_path(self):
-        spec = WorkloadSpec.resolve("oltp", workload_params={"threads_per_cpu": 2})
-        run = RunConfig(measured_transactions=15, seed=3)
-        with pytest.warns(DeprecationWarning, match="make_job"):
-            job = make_job(CONFIG, spec, run, seed=7)
-        with pytest.warns(DeprecationWarning, match="positional job tuples"):
-            legacy = _one_run(job)
-        request = RunRequest(config=CONFIG, workload=spec, run=run).with_seed(7)
-        assert legacy.to_dict() == execute_request(request).to_dict()
+        with pytest.raises(TypeError, match=r"\(RunRequest, checkpoint\) pair"):
+            _one_run(job)
+        with pytest.raises(TypeError, match="got str"):
+            _one_run("oltp")
 
     def test_tuple_param_override_matters(self):
         results = []
         for districts in (2, 64):
-            job = (
-                CONFIG,
-                "oltp",
-                12345,
-                1.0,
-                {"threads_per_cpu": 2, "n_hot_districts": districts},
-                RunConfig(measured_transactions=40, seed=3),
-                None,
-                "timed",
+            request = RunRequest(
+                config=CONFIG,
+                workload=WorkloadSpec.resolve(
+                    "oltp",
+                    workload_params={
+                        "threads_per_cpu": 2,
+                        "n_hot_districts": districts,
+                    },
+                ),
+                run=RunConfig(measured_transactions=40, seed=3),
             )
-            with pytest.warns(DeprecationWarning):
-                results.append(_one_run(job).cycles_per_transaction)
+            results.append(_one_run((request, None)).cycles_per_transaction)
         assert results[0] != results[1]
 
 
