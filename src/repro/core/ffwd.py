@@ -7,8 +7,10 @@ ownership, scheduler queues, thread program positions -- yet the timed
 engine pays full event scheduling, interconnect/DRAM occupancy math and
 per-op latency accounting to build it.  :func:`fast_forward_transactions`
 executes the same workload operations through the same state-transition
-code (``MemoryHierarchy.access_functional``, the real ``Scheduler`` and
-``LockTable``) while skipping everything that only produces *time*:
+code -- literally: ``MemoryHierarchy.access_functional`` is
+``access(..., timed=False)``, one set of miss legs -- plus the real
+``Scheduler`` and ``LockTable``, while skipping everything that only
+produces *time*:
 
 ==========================  ========================================
 kept (state)                dropped (timing)

@@ -22,11 +22,12 @@ Operand layouts (unchanged from the original string encoding):
 ``(OP_YIELD,)``                 voluntary yield to the scheduler
 ==============================  ==========================================
 
-The legacy string kinds (``"cpu"``, ``"mem"``, ...) are still accepted at
-the system boundary: :func:`encode_ops` translates a string-kinded op
-list, and :meth:`SimThread.refill` applies it automatically when a
-program (e.g. an old checkpoint or a third-party test stub) hands back
-string-kinded ops.  The hot path itself only ever sees integers.
+String op kinds (``"cpu"``, ``"mem"``, ...) are the scripted-program
+input format, accepted at exactly one boundary: :meth:`SimThread.refill`
+checks the first op a program hands back and runs a string-kinded list
+through :func:`encode_ops`.  (Checkpoint restore applies the same
+translation to persisted op buffers, which are input from outside the
+process.)  Everything past that boundary only ever sees integers.
 """
 
 from __future__ import annotations
@@ -59,18 +60,6 @@ OP_NAMES: tuple[str, ...] = (
 OPCODES: dict[str, int] = {name: code for code, name in enumerate(OP_NAMES)}
 
 N_OPCODES = len(OP_NAMES)
-
-
-def opcode(kind: int | str) -> int:
-    """Return the integer opcode for ``kind`` (mnemonic or opcode)."""
-    if type(kind) is int:
-        if 0 <= kind < N_OPCODES:
-            return kind
-        raise ValueError(f"unknown opcode {kind!r}")
-    code = OPCODES.get(kind)
-    if code is None:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return code
 
 
 def op_name(code: int) -> str:
@@ -108,13 +97,3 @@ SRC_UPGRADE = 4  # invalidation-only upgrade (data already held)
 
 #: source code -> canonical name (index == code)
 SOURCE_NAMES: tuple[str, ...] = ("l1", "l2", "cache", "memory", "upgrade")
-
-#: name -> source code
-SOURCE_CODES: dict[str, int] = {name: code for code, name in enumerate(SOURCE_NAMES)}
-
-
-def source_name(code: int) -> str:
-    """Return the canonical name for an access-source code."""
-    if 0 <= code < len(SOURCE_NAMES):
-        return SOURCE_NAMES[code]
-    raise ValueError(f"unknown access source {code!r}")

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from repro.config import SystemConfig
 from repro.isa import (
-    SOURCE_NAMES,
     SRC_CACHE,
     SRC_L1,
     SRC_L2,
@@ -53,7 +52,6 @@ from repro.memory.coherence import (
     EV_REPLACEMENT,
     EV_STORE,
     EV_WB_ACK,
-    CoherenceError,
     N_EVENTS,
     PROTOCOL_HAS_E,
     PROTOCOL_OWNER_MASKS,
@@ -202,6 +200,7 @@ class MemoryHierarchy:
         is_write: bool,
         now: int,
         is_instruction: bool = False,
+        timed: bool = True,
     ) -> tuple:
         """Perform one memory reference.
 
@@ -235,8 +234,15 @@ class MemoryHierarchy:
         # L1 miss (or write to a read-only L1 line): go to the local L2.
         # The L2 lookup and demand transition are inlined here (one call
         # per L1 miss is measurable); counters and LRU behave exactly as
-        # SetAssociativeCache.lookup would.
-        latency = self._miss_base_i if is_instruction else self._miss_base_d
+        # SetAssociativeCache.lookup would.  ``timed`` is False only via
+        # :meth:`access_functional`; from here down it gates what produces
+        # or consumes *time* and nothing else.  Untimed, the base latency
+        # is 0 so the probe sees the caller's ``now`` (and the returned
+        # latency means nothing).
+        if timed:
+            latency = self._miss_base_i if is_instruction else self._miss_base_d
+        else:
+            latency = 0
         l2 = self.l2[node]
         l2_lines = l2._sets[block % l2.n_sets]
         l2_line = l2_lines.get(block)
@@ -262,7 +268,7 @@ class MemoryHierarchy:
                 # state while the GetM is outstanding; OWN_ACK lands the
                 # requestor's copy in M, so the L1 fill is writable.
                 miss_latency, source = self._global_transaction(
-                    node, block, is_write, now + latency, upgrading=l2_line
+                    node, block, is_write, now + latency, l2_line, timed
                 )
                 latency += miss_latency
                 writable = True
@@ -273,7 +279,7 @@ class MemoryHierarchy:
             # (an E copy upgrades through the L2, not in the L1).
             l2.stats.misses += 1
             miss_latency, source = self._global_transaction(
-                node, block, is_write, now + latency, upgrading=None
+                node, block, is_write, now + latency, None, timed
             )
             latency += miss_latency
             writable = is_write
@@ -313,232 +319,15 @@ class MemoryHierarchy:
     ) -> None:
         """Perform one memory reference's *state* effects without timing.
 
-        Mirrors :meth:`access` transition-for-transition -- identical L1
-        lookup/fill (including MRU moves and eviction choices), identical
-        L2 demand transitions, and identical directory/coherence
-        resolution for misses -- but computes no latency: the block-race
-        busy windows, the perturbation draw, and the crossbar/DRAM
-        occupancy models are all skipped.  ``now`` is the functional
-        clock, used only to timestamp probe events.  Returns nothing (a
-        functional reference has no latency).
+        :meth:`access` with ``timed=False``: every cache, LRU, directory
+        and counter transition of the timed reference, but the block-race
+        busy windows, the perturbation stream and the crossbar/DRAM
+        occupancy models are left untouched.  ``now`` is the caller's
+        functional clock, used only to timestamp probe events (which
+        report latency 0).  Returns nothing (a functional reference has
+        no latency).
         """
-        stats = self.stats
-        stats.accesses += 1
-        block = address // self._block_bytes
-        l1 = self.l1i[node] if is_instruction else self.l1d[node]
-
-        lines = l1._sets[block % l1.n_sets]
-        line = lines.get(block)
-        if line is None:
-            l1.stats.misses += 1
-        else:
-            del lines[block]
-            lines[block] = line
-            l1.stats.hits += 1
-            if not is_write or line.code == _RW:
-                if is_write:
-                    line.dirty = True
-                stats.l1_hits += 1
-                return
-
-        l2 = self.l2[node]
-        l2_lines = l2._sets[block % l2.n_sets]
-        l2_line = l2_lines.get(block)
-        if l2_line is not None:
-            del l2_lines[block]
-            l2_lines[block] = l2_line
-            l2.stats.hits += 1
-            entry = self._demand[is_write][l2_line.code]
-            if entry is None:
-                raise illegal_transition(
-                    l2_line.code, EV_STORE if is_write else EV_LOAD
-                )
-            hit, next_code = entry
-            l2_line.code = next_code
-            if hit:
-                if is_write:
-                    l2_line.dirty = True
-                stats.l2_hits += 1
-                writable = next_code == _M
-            else:
-                self._functional_transaction(
-                    node, block, is_write, now, upgrading=l2_line
-                )
-                writable = True
-        else:
-            l2.stats.misses += 1
-            self._functional_transaction(node, block, is_write, now, upgrading=None)
-            writable = is_write
-
-        # L1 fill: identical to the timed path (see access()).
-        code = _RW if writable else _RO
-        if line is not None:
-            line.code = code
-            line.dirty = is_write
-        else:
-            if len(lines) >= l1.associativity:
-                line = lines.pop(next(iter(lines)))
-                l1.stats.evictions += 1
-                line.block = block
-                line.code = code
-                line.dirty = is_write
-                lines[block] = line
-            else:
-                lines[block] = CacheLine(block, code, is_write)
-
-    def _functional_transaction(
-        self, node: int, block: int, is_write: bool, now: int, upgrading
-    ) -> None:
-        """Timing-free GetS/GetM: same protocol/directory transitions as
-        :meth:`_global_transaction`, no busy window, no perturbation draw,
-        no interconnect/DRAM occupancy.  Probe events fire with latency 0.
-        Called once per L2 miss/upgrade; kept out of
-        :meth:`access_functional` so the hit paths stay compact.
-        """
-        self.stats.l2_misses += 1
-        owner = self._owner.get(block)
-        sharers = self._sharers.get(block) or _EMPTY_SET
-
-        if is_write:
-            # Mirrors _resolve_getm without the latency legs.
-            data_from_cache = False
-            if sharers:
-                if len(sharers) == 1:
-                    # Dominant case: one holder.  Skip the sort allocation
-                    # of the general path.  (Bind before applying: the
-                    # transition mutates the sharer set.)
-                    sharer = next(iter(sharers))
-                    if sharer != node:
-                        self._apply_remote_f(sharer, block, EV_OTHER_GETM)
-                else:
-                    # sorted() materializes a copy first, so directory
-                    # mutation during the walk is safe; skipping ``node``
-                    # inside the loop visits exactly sorted(sharers -
-                    # {node}) in the same order, minus the set-difference
-                    # allocation.
-                    for sharer in sorted(sharers):
-                        if sharer != node:
-                            self._apply_remote_f(sharer, block, EV_OTHER_GETM)
-            if owner is not None and owner != node:
-                data_from_cache = True
-            if upgrading is not None:
-                entry = self._int_table[upgrading.code * N_EVENTS + EV_OWN_ACK]
-                if entry is None:
-                    raise illegal_transition(upgrading.code, EV_OWN_ACK)
-                upgrading.code = entry[1]
-                upgrading.dirty = True
-                source = SRC_UPGRADE
-                self.stats.upgrades += 1
-            elif data_from_cache:
-                source = SRC_CACHE
-                self.stats.cache_to_cache += 1
-                self._fill_f(node, block, _M, True)
-            else:
-                source = SRC_MEMORY
-                self.stats.memory_fetches += 1
-                self._fill_f(node, block, _M, True)
-            self._owner[block] = node
-            current = self._sharers.get(block)
-            if current is not None:
-                # Reuse the surviving set object: every remote copy was
-                # just invalidated (or was stale), so after clearing it
-                # holds exactly {node} -- same contents as the fresh-set
-                # form, without the per-GetM allocation.
-                current.clear()
-                current.add(node)
-            else:
-                self._sharers[block] = {node}
-        else:
-            # Mirrors _resolve_gets without the latency legs.
-            if owner is not None and owner != node:
-                self._apply_remote_f(owner, block, EV_OTHER_GETS)
-                source = SRC_CACHE
-                self.stats.cache_to_cache += 1
-                supplier = self.l2[owner].peek(block)
-                if supplier is None or not (1 << supplier.code) & self._owner_mask:
-                    self._owner.pop(block, None)
-            else:
-                source = SRC_MEMORY
-                self.stats.memory_fetches += 1
-            exclusive = (
-                self._has_exclusive
-                and owner is None
-                and (not sharers or (len(sharers) == 1 and node in sharers))
-            )
-            self._fill_f(node, block, _E if exclusive else _S, False)
-            current = self._sharers.get(block)
-            if current is None:
-                self._sharers[block] = {node}
-            else:
-                current.add(node)
-            if exclusive:
-                self._owner[block] = node
-
-        if self._probe_cache is not None:
-            self._probe_cache(now, node, block, source, 0, is_write)
-
-    def _apply_remote_f(self, node: int, block: int, event_code: int) -> None:
-        """Functional twin of :meth:`_apply_remote`: identical state
-        transitions through the flat int table; a MESI writeback is
-        counted but not sent to the DRAM occupancy model."""
-        l2 = self.l2[node]
-        lines = l2._sets[block % l2.n_sets]
-        line = lines.get(block)
-        if line is None:
-            return
-        entry = self._int_table[line.code * N_EVENTS + event_code]
-        if entry is None:
-            raise illegal_transition(line.code, event_code)
-        flags, next_code = entry
-        if flags & ACT_WRITEBACK:
-            self.stats.writebacks += 1
-            line.dirty = False
-        if flags & ACT_DEALLOCATE:
-            del lines[block]
-            self._drop_l1(node, block)
-            self._directory_remove(node, block)
-        else:
-            line.code = next_code
-            self._demote_l1(node, block)
-
-    def _fill_f(self, node: int, block: int, code: int, dirty: bool) -> None:
-        """Functional twin of :meth:`_fill` (state passed as its int
-        code); identical residency/eviction decisions."""
-        cache = self.l2[node]
-        lines = cache._sets[block % cache.n_sets]
-        existing = lines.get(block)
-        if existing is not None:
-            existing.code = code
-            existing.dirty = dirty
-            return
-        if len(lines) >= cache.associativity:
-            victim = lines.pop(next(iter(lines)))
-            cache.stats.evictions += 1
-            victim_block = victim.block
-            victim_code = victim.code
-            # Recycle the victim object for the incoming block (the
-            # eviction leg below needs only its old identity/state).
-            victim.block = block
-            victim.code = code
-            victim.dirty = dirty
-            lines[block] = victim
-            self._handle_l2_eviction_f(node, victim_block, victim_code)
-        else:
-            lines[block] = CacheLine(block, code, dirty)
-
-    def _handle_l2_eviction_f(self, node: int, victim_block: int, victim_code: int) -> None:
-        """Functional twin of :meth:`_handle_l2_eviction`: the PutM leg is
-        legality-checked and counted, the DRAM model untouched."""
-        entry = self._int_table[victim_code * N_EVENTS + EV_REPLACEMENT]
-        if entry is None:
-            raise illegal_transition(victim_code, EV_REPLACEMENT)
-        flags, next_code = entry
-        if flags & ACT_ISSUE_PUTM:
-            if self._int_table[next_code * N_EVENTS + EV_WB_ACK] is None:
-                raise illegal_transition(next_code, EV_WB_ACK)
-            self.stats.writebacks += 1
-        self._drop_l1(node, victim_block)
-        self._directory_remove(node, victim_block)
+        self.access(node, address, is_write, now, is_instruction, False)
 
     def _global_transaction(
         self,
@@ -547,59 +336,74 @@ class MemoryHierarchy:
         is_write: bool,
         now: int,
         upgrading,
+        timed: bool,
     ) -> tuple:
         """Resolve a GetS/GetM on the interconnect.
 
         ``upgrading`` is the requestor's resident L2 line when the request
-        is an upgrade (SM_D/OM_D), else None.
+        is an upgrade (SM_D/OM_D), else None.  Untimed, the protocol and
+        directory transitions are the same and the latency is 0: no busy
+        window, no perturbation draw, no crossbar/DRAM occupancy.
         """
         self.stats.l2_misses += 1
         latency = 0
 
-        # Serialize racing transactions to the same block.  The stall is
-        # capped at one transaction length: CPUs are interleaved at slice
-        # granularity, so an uncapped wait could charge cross-slice
-        # timestamp skew as contention.
-        busy_until = self._block_busy.get(block, 0)
-        if busy_until > now:
-            stall = min(busy_until - now, self._fetch_cap_ns)
-            latency += stall
-            now += stall
-            self.stats.block_race_stalls += 1
+        if timed:
+            # Serialize racing transactions to the same block.  The stall
+            # is capped at one transaction length: CPUs are interleaved at
+            # slice granularity, so an uncapped wait could charge
+            # cross-slice timestamp skew as contention.
+            busy_until = self._block_busy.get(block, 0)
+            if busy_until > now:
+                stall = min(busy_until - now, self._fetch_cap_ns)
+                latency += stall
+                now += stall
+                self.stats.block_race_stalls += 1
 
-        # Paper 3.3: uniformly distributed pseudo-random 0..max on every
-        # L2 miss.  This is the injected variability.  Bit-identical to
-        # ``self._perturb.randint(0, self._perturb_max)``.
-        if self._perturb_max > 0:
-            jitter = self._perturb.next_u64() % (self._perturb_max + 1)
-            latency += jitter
-            self.stats.perturbation_total_ns += jitter
+            # Paper 3.3: uniformly distributed pseudo-random 0..max on
+            # every L2 miss.  This is the injected variability.
+            # Bit-identical to ``self._perturb.randint(0, self._perturb_max)``.
+            if self._perturb_max > 0:
+                jitter = self._perturb.next_u64() % (self._perturb_max + 1)
+                latency += jitter
+                self.stats.perturbation_total_ns += jitter
 
         owner = self._owner.get(block)
         sharers = self._sharers.get(block) or _EMPTY_SET
 
         if is_write:
             resolved, source = self._resolve_getm(
-                node, block, now + latency, owner, sharers, upgrading
+                node, block, now + latency, owner, sharers, upgrading, timed
             )
         else:
-            resolved, source = self._resolve_gets(node, block, now + latency, owner, sharers)
+            resolved, source = self._resolve_gets(
+                node, block, now + latency, owner, sharers, timed
+            )
         latency += resolved
 
-        self._block_busy[block] = now + latency
+        if timed:
+            self._block_busy[block] = now + latency
         if self._probe_cache is not None:
             self._probe_cache(now, node, block, source, latency, is_write)
         return (latency, source)
 
     def _resolve_gets(
-        self, node: int, block: int, now: int, owner: int | None, sharers: set[int]
+        self,
+        node: int,
+        block: int,
+        now: int,
+        owner: int | None,
+        sharers: set[int],
+        timed: bool,
     ) -> tuple:
         """Resolve a load miss: data from the owner cache or from memory."""
+        latency = 0
         if owner is not None and owner != node:
             # Owner observes OTHER_GETS: M -> O (MOSI/MOESI) or M -> S
             # with writeback (MESI); E -> S.  It supplies the data.
-            self._apply_remote(owner, block, EV_OTHER_GETS)
-            latency = self.crossbar.round_trip(now) + self._cache_provide_ns
+            self._apply_remote(owner, block, EV_OTHER_GETS, timed)
+            if timed:
+                latency = self.crossbar.round_trip(now) + self._cache_provide_ns
             source = SRC_CACHE
             self.stats.cache_to_cache += 1
             # The supplier may have dropped out of the owner states
@@ -608,7 +412,8 @@ class MemoryHierarchy:
             if supplier is None or not (1 << supplier.code) & self._owner_mask:
                 self._owner.pop(block, None)
         else:
-            latency = self.crossbar.round_trip(now) + self.dram.read(block, now)
+            if timed:
+                latency = self.crossbar.round_trip(now) + self.dram.read(block, now)
             source = SRC_MEMORY
             self.stats.memory_fetches += 1
         # Requestor: IS_D + OWN_DATA -> S; with no other copy and an
@@ -618,7 +423,7 @@ class MemoryHierarchy:
             and owner is None
             and (not sharers or (len(sharers) == 1 and node in sharers))
         )
-        self._fill(node, block, _E if exclusive else _S, False)
+        self._fill(node, block, _E if exclusive else _S, False, timed)
         current = self._sharers.get(block)
         if current is None:
             self._sharers[block] = {node}
@@ -636,8 +441,10 @@ class MemoryHierarchy:
         owner: int | None,
         sharers: set[int],
         upgrading,
+        timed: bool,
     ) -> tuple:
         """Resolve a store miss/upgrade: invalidate all other copies."""
+        latency = 0
         # Remote copies observe OTHER_GETM.
         data_from_cache = False
         if sharers:
@@ -647,7 +454,7 @@ class MemoryHierarchy:
                 # mutates the sharer set.)
                 sharer = next(iter(sharers))
                 if sharer != node:
-                    self._apply_remote(sharer, block, EV_OTHER_GETM)
+                    self._apply_remote(sharer, block, EV_OTHER_GETM, timed)
             else:
                 # sorted() materializes a copy first, so directory mutation
                 # during the walk is safe; skipping ``node`` inside the
@@ -655,7 +462,7 @@ class MemoryHierarchy:
                 # order, minus the set-difference allocation.
                 for sharer in sorted(sharers):
                     if sharer != node:
-                        self._apply_remote(sharer, block, EV_OTHER_GETM)
+                        self._apply_remote(sharer, block, EV_OTHER_GETM, timed)
         if owner is not None and owner != node:
             data_from_cache = True
 
@@ -667,19 +474,22 @@ class MemoryHierarchy:
                 raise illegal_transition(upgrading.code, EV_OWN_ACK)
             upgrading.code = entry[1]
             upgrading.dirty = True
-            latency = self.crossbar.round_trip(now)
+            if timed:
+                latency = self.crossbar.round_trip(now)
             source = SRC_UPGRADE
             self.stats.upgrades += 1
         elif data_from_cache:
-            latency = self.crossbar.round_trip(now) + self._cache_provide_ns
+            if timed:
+                latency = self.crossbar.round_trip(now) + self._cache_provide_ns
             source = SRC_CACHE
             self.stats.cache_to_cache += 1
-            self._fill(node, block, _M, True)
+            self._fill(node, block, _M, True, timed)
         else:
-            latency = self.crossbar.round_trip(now) + self.dram.read(block, now)
+            if timed:
+                latency = self.crossbar.round_trip(now) + self.dram.read(block, now)
             source = SRC_MEMORY
             self.stats.memory_fetches += 1
-            self._fill(node, block, _M, True)
+            self._fill(node, block, _M, True, timed)
 
         # Directory: the requestor is now the sole owner.  Every remote
         # copy was just invalidated above (remote stable states all
@@ -698,7 +508,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Protocol plumbing
     # ------------------------------------------------------------------
-    def _apply_remote(self, node: int, block: int, event_code: int) -> None:
+    def _apply_remote(self, node: int, block: int, event_code: int, timed: bool) -> None:
         """Apply a remote-observed event at one node's L2 (and L1s)."""
         l2 = self.l2[node]
         lines = l2._sets[block % l2.n_sets]
@@ -711,7 +521,9 @@ class MemoryHierarchy:
         flags, next_code = entry
         if flags & ACT_WRITEBACK:
             # MESI: a read-shared M copy flushes to memory (no O state).
-            self.dram.writeback(block, self._block_busy.get(block, 0))
+            # Counted either way; only a timed one occupies the DRAM model.
+            if timed:
+                self.dram.writeback(block, self._block_busy.get(block, 0))
             self.stats.writebacks += 1
             line.dirty = False
         if flags & ACT_DEALLOCATE:
@@ -723,7 +535,7 @@ class MemoryHierarchy:
             # Losing write permission demotes any RW L1 copy.
             self._demote_l1(node, block)
 
-    def _fill(self, node: int, block: int, code: int, dirty: bool) -> None:
+    def _fill(self, node: int, block: int, code: int, dirty: bool, timed: bool) -> None:
         """Install an arriving block in a node's L2, handling the victim.
 
         Fused peek + insert over the set dict (one pass; runs once per
@@ -752,11 +564,13 @@ class MemoryHierarchy:
             victim.code = code
             victim.dirty = dirty
             lines[block] = victim
-            self._handle_l2_eviction(node, victim_block, victim_code)
+            self._handle_l2_eviction(node, victim_block, victim_code, timed)
         else:
             lines[block] = CacheLine(block, code, dirty)
 
-    def _handle_l2_eviction(self, node: int, victim_block: int, victim_code: int) -> None:
+    def _handle_l2_eviction(
+        self, node: int, victim_block: int, victim_code: int, timed: bool
+    ) -> None:
         """Run the replacement leg of the protocol for an evicted line."""
         entry = self._int_table[victim_code * N_EVENTS + EV_REPLACEMENT]
         if entry is None:
@@ -767,7 +581,8 @@ class MemoryHierarchy:
             # the requestor's critical path.
             if self._int_table[next_code * N_EVENTS + EV_WB_ACK] is None:
                 raise illegal_transition(next_code, EV_WB_ACK)
-            self.dram.writeback(victim_block, self._block_busy.get(victim_block, 0))
+            if timed:
+                self.dram.writeback(victim_block, self._block_busy.get(victim_block, 0))
             self.stats.writebacks += 1
         self._drop_l1(node, victim_block)
         self._directory_remove(node, victim_block)

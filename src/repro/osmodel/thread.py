@@ -83,10 +83,10 @@ class SimThread:
         """Fetch the next operation segment from the program.
 
         Returns False when the program has finished (scientific workloads
-        terminate; throughput workloads never do).  Programs that still
-        emit legacy string op kinds (third-party stubs, old checkpoints)
-        are transparently translated to the integer op ISA here, so the
-        machine's dispatch table only ever sees opcodes.
+        terminate; throughput workloads never do).  Scripted programs
+        that emit string op kinds are translated to the integer op ISA
+        here -- the one boundary that accepts them -- so the machine's
+        dispatch table only ever sees opcodes.
         """
         ops = self.program.next_ops(self)
         if not ops:

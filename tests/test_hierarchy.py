@@ -1,11 +1,13 @@
 """Tests for the assembled memory hierarchy (timing + coherence)."""
 
+from dataclasses import asdict, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import SRC_CACHE, SRC_L1, SRC_L2, SRC_MEMORY, SRC_UPGRADE
-from repro.config import SystemConfig
-from repro.memory.coherence import MOSIState
+from repro.config import CacheConfig, SystemConfig
+from repro.memory.coherence import MOSIState, available_protocols
 from repro.memory.hierarchy import L1_READ_ONLY, L1_READ_WRITE, MemoryHierarchy
 
 
@@ -236,3 +238,102 @@ class TestSnapshotRestore:
         actual = [h2.access(n, a, w, 10_000 + i)[0] for i, (n, a, w) in enumerate(follow_on)]
         assert actual == expected
         assert h2.check_coherence_invariants() == []
+
+
+CODE = 0x1000_0000  # instruction region
+
+
+def reference_trace(l1_sets: int, l2_sets: int) -> list[tuple[int, int, bool, bool]]:
+    """A fixed ``(node, address, is_write, is_instruction)`` trace over 4
+    nodes: a shared pool every node loads and stores (fills, upgrades,
+    invalidations, cache-to-cache transfers), a same-L2-set stride that
+    overflows the ways (clean and dirty victims), a per-node same-L1-set
+    walk (L1 victims, L2 hits), and I-fetches."""
+    trace = []
+    for i in range(900):
+        node = (i + i // 7) % 4
+        if i % 11 == 0:
+            trace.append((node, CODE + (i % 9) * 64, False, True))
+        elif i % 3 == 0:
+            stride = (i // 3) % 5
+            trace.append((node, ADDR + stride * l2_sets * 64, i % 2 == 0, False))
+        elif i % 5 == 1:
+            private = ADDR + (node << 20) + ((i // 5) % 6) * l1_sets * 64
+            trace.append((node, private, i % 7 == 0, False))
+        else:
+            shared = ADDR + ((i * i // 9) % 24 + 1) * 64
+            trace.append((node, shared, (i // 4) % 3 == 0, False))
+    return trace
+
+
+class TestTimedFunctionalContract:
+    """``access`` and ``access_functional`` are one engine: on a fixed
+    multi-node reference order they must leave identical architectural
+    state, and the functional side must not touch anything timing owns."""
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_functional_leaves_timed_state_and_no_timing_state(self, protocol):
+        config = replace(
+            SystemConfig(n_cpus=4).with_perturbation(4).with_protocol(protocol),
+            l2=CacheConfig(size_bytes=16 * 1024, associativity=2, hit_latency_ns=20),
+        )
+
+        def build():
+            h = MemoryHierarchy(config)
+            h.seed_perturbation(11)
+            events = []
+            h.set_cache_probe(lambda *event: events.append(event))
+            return h, events
+
+        timed, timed_events = build()
+        functional, functional_events = build()
+        fresh, _ = build()
+        trace = reference_trace(config.l1d.n_sets, config.l2.n_sets)
+        clock = range(0, 13 * len(trace), 13)  # tight: same-block races
+        for now, (node, address, is_write, is_instruction) in zip(clock, trace):
+            timed.access(node, address, is_write, now, is_instruction)
+            fired = len(functional_events)
+            functional.access_functional(node, address, is_write, now, is_instruction)
+            # (c, functional half) the probe sees the caller's clock, latency 0
+            assert [(e[0], e[4]) for e in functional_events[fired:]] in ([], [(now, 0)])
+
+        # The trace exercises every leg (else the equalities below are vacuous).
+        stats = timed.stats
+        assert min(stats.upgrades, stats.cache_to_cache, stats.memory_fetches) > 0
+        assert min(stats.writebacks, stats.block_race_stalls) > 0
+        assert stats.perturbation_total_ns > 0
+        assert timed.dram.stats.writebacks > 0
+        assert stats.l2_hits > 0
+        assert all(c.stats.evictions > 0 for c in timed.l2 + timed.l1d)
+        assert sum(c.stats.hits for c in timed.l1i) > 0
+
+        # (a) identical contents, directory and per-set LRU order
+        assert functional.occupancy(include_order=True) == timed.occupancy(
+            include_order=True
+        )
+        assert functional.check_coherence_invariants() == []
+
+        # (b) identical counters, minus the two only time can produce
+        expected = asdict(timed.stats)
+        expected["perturbation_total_ns"] = expected["block_race_stalls"] = 0
+        assert asdict(functional.stats) == expected
+        for level in ("l1i", "l1d", "l2"):
+            assert [c.stats for c in getattr(functional, level)] == [
+                c.stats for c in getattr(timed, level)
+            ]
+
+        # (c) identical probe events, one per global transaction.
+        # Event: (now, node, block, source, latency_ns, is_write).
+        def identity(events):
+            return [(e[1], e[2], e[3], e[5]) for e in events]
+
+        assert identity(functional_events) == identity(timed_events)
+        assert len(functional_events) == stats.l2_misses
+        assert all(e[4] > 0 for e in timed_events)
+
+        # (d) nothing timing owns moved on the functional side
+        assert functional._block_busy == {}
+        assert functional.crossbar.snapshot() == fresh.crossbar.snapshot()
+        assert functional.dram.snapshot() == fresh.dram.snapshot()
+        assert functional._perturb.snapshot() == fresh._perturb.snapshot()
+        assert timed._perturb.snapshot() != fresh._perturb.snapshot()

@@ -4,9 +4,7 @@ Two equivalence claims back the hot-path optimisations:
 
 1. The flat integer transition tables (``int_table_for``) encode exactly
    the enum transition tables -- transition-for-transition, action-for-
-   action, across all three protocols.  The reference miss path
-   (:mod:`repro.memory.refpath`) must also be behaviourally identical to
-   the optimised legs over real executions.
+   action, across all three protocols.
 
 2. A memoized transaction stream is byte-identical to a regenerated one
    for every generator: filling the memo with one program and replaying
@@ -32,7 +30,6 @@ from repro.memory.coherence import (
     int_table_for,
     transitions_for,
 )
-from repro.memory.refpath import RefMissPathHierarchy
 from repro.system.machine import Machine
 from repro.workloads.base import WorkloadClock
 from repro.workloads.registry import available_workloads, make_workload
@@ -53,7 +50,7 @@ WORKLOADS = available_workloads()
 
 
 # ---------------------------------------------------------------------------
-# 1a. flat int tables == enum tables (exhaustive)
+# 1. flat int tables == enum tables (exhaustive)
 # ---------------------------------------------------------------------------
 class TestIntTableEquivalence:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -112,30 +109,6 @@ class TestIntTableEquivalence:
                 encode_actions(transition.actions),
                 STATE_CODES[transition.next_state.value],
             )
-
-
-# ---------------------------------------------------------------------------
-# 1b. the reference miss path is behaviourally identical over executions
-# ---------------------------------------------------------------------------
-class TestRefMissPathParity:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_ref_path_bit_identical(self, protocol):
-        def run(ref):
-            config = SystemConfig(n_cpus=4).with_protocol(protocol)
-            machine = Machine(config, make_workload("oltp", seed=7))
-            machine.hierarchy.seed_perturbation(77)
-            if ref:
-                RefMissPathHierarchy.install(machine.hierarchy)
-            machine.run_until_transactions(300, 10**13)
-            hierarchy = machine.hierarchy
-            return (
-                machine.clock.now,
-                machine.completed_transactions,
-                hierarchy.stats,
-                hierarchy.occupancy(include_order=True),
-            )
-
-        assert run(False) == run(True)
 
 
 # ---------------------------------------------------------------------------
