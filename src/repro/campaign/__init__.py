@@ -10,8 +10,8 @@ front.  ``python -m repro campaign`` is the CLI entry point.
 """
 
 from repro.campaign.campaign import Campaign, CampaignReport, CellResult
-from repro.campaign.executor import SharedRunContext, execute_shared
 from repro.campaign.plan import CampaignPlan, CampaignSpec, PlannedRun, plan_campaign
+from repro.core.fanout import SharedRunContext, execute_shared
 
 __all__ = [
     "Campaign",

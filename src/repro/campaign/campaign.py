@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.config import SystemConfig
-from repro.campaign.executor import SharedRunContext, execute_shared
 from repro.campaign.plan import (
     CampaignPlan,
     CampaignSpec,
     cell_request,
+    cell_warm_key,
     plan_campaign,
 )
 from repro.core.confidence import confidence_interval
+from repro.core.fanout import SeedOrder, SharedRunContext, WarmOrder, run_cells
 from repro.core.request import effective_config
 from repro.core.runner import RunFailure, RunSample, WorkloadSpec
 from repro.store import RunStore
@@ -149,13 +150,18 @@ class Campaign:
         """Execute every cell, reusing the store; returns the report.
 
         ``progress`` is an optional ``print``-like callable fed one line
-        per executed batch.  A ``KeyboardInterrupt`` propagates after
-        completed runs have been persisted -- rerun to resume.
+        per executed batch; with ``n_jobs > 1`` cells overlap on one pool
+        (:func:`repro.core.fanout.run_cells`), so lines of different
+        cells may interleave (``report.cells`` stays in spec order).  A
+        ``KeyboardInterrupt`` propagates after completed runs and warm
+        checkpoints have been persisted -- rerun to resume.
         """
-        cells = [
-            self._run_cell(label, config, wspec, progress)
-            for label, config, wspec in self.spec.cells()
-        ]
+        cells = run_cells(
+            (self._run_cell(*cell, progress) for cell in self.spec.cells()),
+            n_jobs=self.n_jobs,
+            timeout_s=self.timeout_s,
+            retries=self.retries,
+        )
         rule = self.spec.stop_rule
         return CampaignReport(
             cells=cells,
@@ -165,66 +171,45 @@ class Campaign:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_cell(
-        self, label: str, config: SystemConfig, wspec: WorkloadSpec, progress
-    ) -> CellResult:
+    def _run_cell(self, label: str, config: SystemConfig, wspec: WorkloadSpec, progress):
+        """One cell as a generator of fan-out orders; returns its CellResult.
+
+        Per batch: plan against the store, order the warm-up if this is
+        the first batch with work and the store lacks the checkpoint,
+        order the pending seeds.  Every store access happens here.
+        """
         spec = self.spec
         rule = spec.stop_rule
         results: dict[int, SimulationResult] = {}
+        keys: dict[int, str] = {}
         failures: list[RunFailure] = []
         cached_hits = 0
         executed = 0
         issued = 0
         template = cell_request(spec, config, wspec)
-        # One shared context per cell: every batch of an adaptive cell
-        # reuses the same object (and thus its cached digest), and the
-        # warm checkpoint is built only when a batch actually executes.
-        context_cache: list[SharedRunContext] = []
-
-        def context() -> SharedRunContext:
-            if not context_cache:
-                checkpoint = None
-                if spec.warm_start:
-                    from repro.system.checkpoint import warm_checkpoint
-
-                    # The warm-up executes under the fidelity-effective
-                    # configuration, matching the cell's warm key.
-                    checkpoint = warm_checkpoint(
-                        effective_config(config, spec.fidelity),
-                        wspec.make(),
-                        warmup_transactions=spec.run.warmup_transactions,
-                        max_time_ns=spec.run.max_time_ns,
-                        store=self.store,
-                        mode=spec.warmup_mode,
-                    )
-                context_cache.append(
-                    SharedRunContext(
-                        config=config,
-                        spec=wspec,
-                        run=template.run,
-                        checkpoint=checkpoint,
-                        warmup_mode=spec.warmup_mode,
-                        fidelity=spec.fidelity,
-                        sampling_mode=spec.sampling_mode,
-                    )
-                )
-            return context_cache[0]
+        # One shared context per cell, built when a batch first executes.
+        context: SharedRunContext | None = None
+        warm_error: str | None = None
 
         def say(text: str) -> None:
             if progress is not None:
                 progress(f"[{label} x {wspec.name}] {text}")
 
-        def collect(count: int) -> None:
-            nonlocal cached_hits, executed, issued
+        def persist(seed: int, result: SimulationResult) -> None:
+            results[seed] = result
+            self.store.put(
+                keys[seed], result, workload=wspec.name, config=label, campaign=spec.name
+            )
+
+        def collect(count: int):
+            nonlocal cached_hits, executed, issued, context, warm_error
             seeds = [spec.run.seed + issued + i for i in range(count)]
             issued += count
-            key_by_seed = {
-                seed: template.with_seed(seed).run_key for seed in seeds
-            }
-            found = self.store.get_many(list(key_by_seed.values()))
+            keys.update((seed, template.with_seed(seed).run_key) for seed in seeds)
+            found = self.store.get_many([keys[seed] for seed in seeds])
             pending: list[int] = []
             for seed in seeds:
-                cached = found.get(key_by_seed[seed])
+                cached = found.get(keys[seed])
                 if cached is not None:
                     results[seed] = cached
                     cached_hits += 1
@@ -233,25 +218,28 @@ class Campaign:
             if not pending:
                 say(f"{len(seeds)} runs served from store")
                 return
-
-            def persist(seed: int, result: SimulationResult) -> None:
-                results[seed] = result
-                self.store.put(
-                    key_by_seed[seed],
-                    result,
-                    workload=wspec.name,
-                    config=label,
-                    campaign=spec.name,
-                )
-
-            done, fails = execute_shared(
-                context(),
-                pending,
-                n_jobs=self.n_jobs,
-                timeout_s=self.timeout_s,
-                retries=self.retries,
-                on_result=persist,
-            )
+            if context is None and warm_error is None:
+                checkpoint = None
+                if spec.warm_start:
+                    warm_key = cell_warm_key(spec, config, wspec)
+                    checkpoint = self.store.get_checkpoint(warm_key)
+                    if checkpoint is None:
+                        # The warm-up executes under the fidelity-effective
+                        # configuration, matching the cell's warm key.
+                        checkpoint = yield WarmOrder(
+                            effective_config(config, spec.fidelity), wspec,
+                            spec.run.warmup_transactions, spec.run.max_time_ns, spec.warmup_mode,
+                        )
+                        if checkpoint is None:
+                            warm_error = "warm-up worker crashed past the retry budget"
+                        else:
+                            self.store.put_checkpoint(warm_key, checkpoint)
+                if warm_error is None:
+                    context = SharedRunContext.from_request(template, checkpoint)
+            if context is None:
+                done, fails = {}, [RunFailure(seed, warm_error, "crash") for seed in pending]
+            else:
+                done, fails = yield SeedOrder(context, pending, on_result=persist)
             executed += len(done)
             failures.extend(fails)
             say(
@@ -260,7 +248,7 @@ class Campaign:
             )
 
         if rule is None:
-            collect(spec.n_runs)
+            yield from collect(spec.n_runs)
             stop_reason = "fixed-N"
         else:
             while True:
@@ -277,7 +265,7 @@ class Campaign:
                     else:
                         stop_reason = "stopped"
                     break
-                collect(batch)
+                yield from collect(batch)
 
         sample = RunSample(
             config=config,

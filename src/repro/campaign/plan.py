@@ -169,20 +169,19 @@ def cell_execution(spec: CampaignSpec, config: SystemConfig, wspec: WorkloadSpec
     """
     if not spec.warm_start:
         return spec.run, None
+    return replace(spec.run, warmup_transactions=0), f"warm:{cell_warm_key(spec, config, wspec)}"
+
+
+def cell_warm_key(spec: CampaignSpec, config: SystemConfig, wspec: WorkloadSpec) -> str:
+    """The store key of a warm-started cell's shared checkpoint."""
     # The warm key comes from a request carrying the *original* warm-up
     # length and the spec's fidelity (the warm-up executes under the
     # fidelity-effective configuration).
     warm = RunRequest(
-        config=config,
-        workload=wspec,
-        run=spec.run,
-        warmup_mode=spec.warmup_mode,
-        fidelity=spec.fidelity,
+        config=config, workload=wspec, run=spec.run,
+        warmup_mode=spec.warmup_mode, fidelity=spec.fidelity,
     )
-    return (
-        replace(spec.run, warmup_transactions=0),
-        f"warm:{warm.warm_checkpoint_key()}",
-    )
+    return warm.warm_checkpoint_key()
 
 
 def cell_key_mode(spec: CampaignSpec) -> str:

@@ -2,27 +2,32 @@
 
 The paper's methodology multiplies every experiment by N perturbation
 seeds, so campaign throughput -- runs per second across a seed fan-out --
-is the cost that matters, not single-run latency.  The naive pool path
-pays full setup N times: each job tuple carries the configuration *and*
-the entire checkpoint, so the parent pickles megabytes of identical
-state per seed (serially), ships it over IPC, and every worker
-unpickles, rebuilds the workload, and re-restores the machine from
-scratch.  For short measurement windows that redundant setup dominates.
+is the cost that matters, not single-run latency.  Job tuples that
+carry the configuration *and* the checkpoint pay full setup N times
+(pickle, IPC, unpickle, rebuild, restore); for short measurement windows
+that redundant setup dominates.
 
 This module makes the per-seed marginal cost approach the measurement
 window alone:
 
-- **ship shared state once, not per job**: the pool initializer installs
-  a :class:`SharedRunContext` (configuration, workload spec, run
-  template, checkpoint) into a worker-resident cache keyed by the
-  context's content digest; job tuples shrink to ``(seed,
-  run_overrides, digest)`` and are chunked into batches to amortize
-  submission overhead;
+- **ship shared state once per cell, not per job**: a
+  :class:`SharedRunContext` (configuration, workload spec, run template,
+  checkpoint) is pickled once per seed order, in the parent; every
+  batch carries that blob (a memcpy) under the blob's hash, and a worker
+  opens it only when the hash is not in its small resident cache; job
+  tuples shrink to ``(seed, run_overrides)`` and are chunked into
+  batches to amortize submission overhead;
 - **restore once, clone per seed**: inside a worker the checkpoint is
   materialized a single time into a pristine machine whose frozen form
   (:meth:`repro.system.machine.Machine.freeze`) becomes the resident
   state template; each seed's machine is thawed from that template -- a
-  C-speed clone -- instead of a full rebuild + re-restore.
+  C-speed clone -- instead of a full rebuild + re-restore;
+- **one pool per campaign, cells pipelined**: :func:`run_cells` serves
+  all cells from a single worker pool.  A cell is a generator that
+  *orders* work -- its warm-up (:class:`WarmOrder`), then its seeds
+  (:class:`SeedOrder`) -- and a finished warm-up *recruits* that cell's
+  seed batches, so the next cell warms while this one measures.
+  :func:`execute_shared` is the one-cell case.
 
 Correctness gate: a thawed machine is bit-identical in behaviour to one
 built by the cold path (same workload reconstruction, same restore code,
@@ -31,19 +36,25 @@ same measurement protocol via
 digest-equal to sequential cold-start samples; the golden-determinism
 suite and :mod:`tests.test_fanout` lock this.
 
-Fault tolerance carries over from the campaign executor, which now
-delegates here: per-run ``SIGALRM`` wall-clock timeouts inside workers,
-retry-on-worker-crash with a per-seed budget, and immediate
-``on_result`` delivery so interrupts lose only in-flight work.
+Fault tolerance (see :func:`run_cells`): per-run ``SIGALRM`` wall-clock
+timeouts inside workers, retry-on-worker-crash with a per-seed budget,
+and immediate ``on_result`` delivery so interrupts lose only in-flight
+work.  The ``repro.core.fanout`` logger reports pool (re)builds, crash
+retries and exhausted budgets; per-task walls at DEBUG.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import pickle
 import signal
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import time
+from collections import Counter, deque
+from collections.abc import Generator, Iterable
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 from repro.config import RunConfig, SystemConfig
@@ -55,18 +66,21 @@ from repro.core.request import (
     format_failure,
 )
 from repro.core.runner import RunFailure
+from repro.system import checkpoint as checkpoint_mod
 from repro.system.machine import Machine
 from repro.system.simulation import SimulationResult, measure_machine
 from repro.workloads.registry import make_workload
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class SharedRunContext:
     """Everything identical across the seeds of one sample.
 
-    This is what ships to each worker exactly once (via the pool
-    initializer) instead of travelling inside every job tuple.  The
-    per-seed jobs then carry only ``(seed, run_overrides, digest)``.
+    This is what a worker unpickles at most once per cell instead of
+    once per job: batches carry its pickled blob and the blob's hash,
+    the per-seed jobs only ``(seed, run_overrides)``.
 
     A context is the fan-out twin of a :class:`repro.core.request.RunRequest`
     template: identity minus the per-seed ``run.seed``, plus the
@@ -88,9 +102,7 @@ class SharedRunContext:
     sampling_mode: str = "fixed"
 
     @classmethod
-    def from_request(
-        cls, request: RunRequest, checkpoint=None
-    ) -> "SharedRunContext":
+    def from_request(cls, request: RunRequest, checkpoint=None) -> "SharedRunContext":
         """The shared context of a sample templated by ``request``.
 
         ``checkpoint`` is the materialized checkpoint named by
@@ -112,47 +124,13 @@ class SharedRunContext:
         """The configuration runs actually simulate (fidelity applied)."""
         return effective_config(self.config, self.fidelity)
 
-    @cached_property
-    def digest(self) -> str:
-        """Content digest keying the worker-resident cache.
-
-        Covers the configuration, run template, workload identity, and
-        (when present) the checkpoint state, so two contexts collide only
-        when their warm state is genuinely interchangeable.  The
-        ``"timed"`` warm-up mode and ``"ooo"`` fidelity defaults are
-        omitted so pre-existing digests stay stable.
-        """
-        from repro.store import digest as _digest
-
-        payload = {
-            "system": self.config.to_dict(),
-            "run": self.run.to_dict(),
-            "workload": [
-                self.spec.name,
-                self.spec.seed,
-                self.spec.scale,
-                [[k, v] for k, v in self.spec.params],
-            ],
-            "checkpoint": (
-                self.checkpoint.digest() if self.checkpoint is not None else None
-            ),
-        }
-        if self.warmup_mode != "timed":
-            payload["warmup_mode"] = self.warmup_mode
-        if self.fidelity != FIDELITY_FULL:
-            payload["fidelity"] = self.fidelity
-        if self.sampling_mode != "fixed":
-            payload["sampling_mode"] = self.sampling_mode
-        return _digest(payload)
-
 
 class _Resident:
     """Worker-resident warm state for one shared context.
 
-    The point is that the expensive shared pieces arrive in the worker
-    exactly once -- the context (checkpoint included) ships via the pool
-    initializer instead of inside every job tuple -- and each seed then
-    pays only the cheapest available per-seed reset:
+    The expensive shared pieces are opened in the worker once per cell
+    (:func:`_resident`); each seed then pays only the cheapest available
+    per-seed reset:
 
     - *checkpoint contexts*: the resident checkpoint's state dict is the
       pristine template; each seed's machine is materialized from it via
@@ -199,16 +177,35 @@ class _Resident:
         return Machine.thaw(self.template())
 
 
-#: per-process cache: context digest -> resident warm state.  Installed
-#: by the pool initializer in workers; sequential execution uses a local
-#: ``_Resident`` without touching this.
+#: per-worker cache: shipment key -> resident warm state, oldest first.
+#: Cells reach a worker roughly in campaign order, so older keys belong
+#: to finished cells; evicting costs at worst one more unpickle, never a
+#: failure, because every batch carries its context blob.
 _RESIDENT: dict[str, _Resident] = {}
+_RESIDENT_WINDOW = 4
+
+#: tasks kept in the pool per worker: one running, one queued behind it,
+#: so a core never waits on the parent between tasks
+_TASKS_PER_WORKER = 2
+
+_SUSPECT, _ALONE = 1, 2  # _Task.ward of a crash retry
 
 
-def _install_contexts(entries: list[tuple[str, SharedRunContext]]) -> None:
-    """Pool initializer: install the shared contexts in this worker."""
-    for digest, context in entries:
-        _RESIDENT[digest] = _Resident(context)
+def _shipment(context: SharedRunContext) -> tuple[str, bytes]:
+    """A context as its batches carry it: ``(key, pickled blob)``.  The key
+    only has to name the blob it travels with, so it is the blob's hash."""
+    blob = pickle.dumps(context, pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest(), blob
+
+
+def _resident(key: str, blob: bytes) -> _Resident:
+    """This worker's resident state for ``key``, unpickled on first sight."""
+    resident = _RESIDENT.get(key)
+    if resident is None:
+        resident = _RESIDENT[key] = _Resident(pickle.loads(blob))
+        while len(_RESIDENT) > _RESIDENT_WINDOW:
+            del _RESIDENT[next(iter(_RESIDENT))]
+    return resident
 
 
 def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
@@ -268,28 +265,83 @@ def _run_guarded(
             signal.signal(signal.SIGALRM, previous)
 
 
-def _run_batch(item: tuple) -> list[tuple[int, str, object]]:
-    """Worker body: run one batch of seeds against a resident context.
+@dataclass(frozen=True)
+class WarmOrder:
+    """A cell asks for its shared warm checkpoint to be built.
 
-    ``item`` is ``(digest, jobs, timeout_s)`` with ``jobs`` a tuple of
-    ``(seed, run_overrides)`` pairs -- the shrunken job form.  Returns
-    one ``(seed, status, payload)`` triple per job.
+    Answered with the :class:`~repro.system.checkpoint.Checkpoint`, or
+    ``None`` when the worker building it died past the crash budget.
+    The builder sees no store: persisting the answer is the cell's job,
+    in the parent, which stays the store's only writer.
     """
-    digest, jobs, timeout_s = item
-    resident = _RESIDENT.get(digest)
-    if resident is None:
-        # Initializer didn't run or shipped a different context: report
-        # rather than crash, so the parent can retry or fail the seeds.
-        return [
-            (seed, "error", f"worker has no shared context {digest[:12]}")
-            for seed, _overrides in jobs
-        ]
-    out = []
+
+    config: SystemConfig  # fidelity-effective
+    workload: WorkloadSpec
+    warmup_transactions: int
+    max_time_ns: int
+    mode: str = "timed"
+
+
+@dataclass(frozen=True)
+class SeedOrder:
+    """A cell asks for ``seeds`` to be run against ``context``.
+
+    Answered with ``(results, failures)``; the two partitions cover
+    every seed.  ``on_result(seed, result)`` fires in the parent as each
+    run completes (persist there -- that is what makes interrupts
+    resumable).  ``overrides`` maps a seed to
+    :class:`~repro.config.RunConfig` field overrides for that seed alone.
+    """
+
+    context: SharedRunContext
+    seeds: list[int]
+    overrides: dict[int, dict] | None = None
+    on_result: Callable[[int, SimulationResult], None] | None = None
+
+    def jobs(self, seeds) -> tuple:
+        """The shrunken job form: ``(seed, run_overrides)`` per seed."""
+        overrides = self.overrides or {}
+        return tuple((seed, overrides.get(seed)) for seed in seeds)
+
+    def record(self, outcome: tuple, seed: int, status: str, payload) -> None:
+        """File one finished run into ``outcome``'s (results, failures)."""
+        if status == "ok":
+            outcome[0][seed] = payload
+            if self.on_result is not None:
+                self.on_result(seed, payload)
+        else:
+            outcome[1].append(RunFailure(seed=seed, error=payload, kind=status))
+
+
+def _run_warm(order: WarmOrder):
+    """Task body of a :class:`WarmOrder` (worker or in-process)."""
+    return checkpoint_mod.warm_checkpoint(
+        order.config,
+        order.workload.make(),
+        warmup_transactions=order.warmup_transactions,
+        max_time_ns=order.max_time_ns,
+        mode=order.mode,
+    )
+
+
+def _run_jobs(resident: _Resident, jobs: tuple, timeout_s: float | None):
+    """One ``(seed, status, payload)`` triple per job, as each run ends."""
     for seed, overrides in jobs:
         run = replace(resident.context.run, seed=seed, **(overrides or {}))
-        status, payload = _run_guarded(resident, run, timeout_s)
-        out.append((seed, status, payload))
-    return out
+        yield (seed, *_run_guarded(resident, run, timeout_s))
+
+
+def _run_batch(key: str, blob: bytes, jobs: tuple, timeout_s: float | None) -> list:
+    """Worker body: run one batch of jobs against a resident context
+    (``blob`` is opened only when ``key`` is not resident here)."""
+    return list(_run_jobs(_resident(key, blob), jobs, timeout_s))
+
+
+def _timed(fn: Callable, *args) -> tuple[object, float]:
+    """Worker entry: one task's value and the wall it took in the worker."""
+    start = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - start
 
 
 def _batches(seeds: list[int], n_jobs: int, batch_size: int | None) -> list[list[int]]:
@@ -302,6 +354,220 @@ def _batches(seeds: list[int], n_jobs: int, batch_size: int | None) -> list[list
     if batch_size is None:
         batch_size = max(1, -(-len(seeds) // (n_jobs * 3)))
     return [seeds[i : i + batch_size] for i in range(0, len(seeds), batch_size)]
+
+
+def run_cells(
+    cells: Iterable[Generator],
+    *,
+    n_jobs: int = 1,
+    timeout_s: float | None = None,
+    retries: int = 1,
+    batch_size: int | None = None,
+) -> list:
+    """Drive cell generators to completion; their return values, in order.
+
+    A cell yields :class:`WarmOrder` / :class:`SeedOrder` objects, is
+    sent each answer, and returns its outcome.  With ``n_jobs <= 1``
+    every cell runs to completion in turn, in this process.  Otherwise
+    one worker pool serves them all: orders become pool tasks, and the
+    next cell starts whenever the pool runs short of queued work, so
+    cell k+1 warms while cell k measures and only a few cells (and their
+    checkpoints) are alive at once.
+
+    Fault tolerance: per-run wall-clock timeouts are armed inside
+    workers (``SIGALRM``); a run that raises or times out fails its seed
+    alone.  A hard worker death breaks the pool: it is rebuilt, every
+    task then in flight is charged one crash, and those still within
+    ``retries`` run again one seed per task, beside each other only; a
+    death among those sends them on *alone*, so the death that exhausts
+    a budget is the guilty seed's own; queued tasks are untouched.
+    Interrupts abandon in-flight work; what finished is with its cell.
+    """
+    if n_jobs <= 1:
+        return [_run_inline(cell, timeout_s) for cell in cells]
+    return _Pipeline(n_jobs, timeout_s, retries, batch_size).run(cells)
+
+
+def _run_inline(cell: Generator, timeout_s: float | None):
+    """Fulfil one cell's orders in this process, as it gives them."""
+    reply = None
+    try:
+        while True:
+            order = cell.send(reply)
+            start = time.perf_counter()
+            if isinstance(order, WarmOrder):
+                reply = _run_warm(order)
+            else:
+                reply, resident = ({}, []), _Resident(order.context)
+                for triple in _run_jobs(resident, order.jobs(order.seeds), timeout_s):
+                    order.record(reply, *triple)
+            log.debug("in-process %s took %.3fs", type(order).__name__, time.perf_counter() - start)
+    except StopIteration as stop:
+        return stop.value
+
+
+@dataclass(eq=False)
+class _Cell:
+    """Driver-side state of one started cell."""
+
+    index: int
+    gen: Generator
+    order: object = None  # the order being fulfilled
+    outcome: tuple | None = None  # a seed order's (results, failures) so far
+    open: int = 0  # tasks of that order not yet resolved
+    shipment: tuple = ()  # that order's (key, blob)
+
+
+@dataclass(eq=False)
+class _Task:
+    cell: _Cell
+    fn: Callable
+    args: tuple
+    seeds: tuple[int, ...] = ()  # empty: a warm-up
+    ward: int = 0  # crash suspects: _SUSPECT runs beside suspects only, _ALONE beside nothing
+
+    def __str__(self) -> str:
+        what = f"seeds {list(self.seeds)}" if self.seeds else "warm-up"
+        return f"cell {self.cell.index} {what}"
+
+
+class _Pipeline:
+    """One worker pool multiplexing the orders of many cells."""
+
+    def __init__(self, n_jobs: int, timeout_s, retries: int, batch_size) -> None:
+        self.n_jobs, self.timeout_s = n_jobs, timeout_s
+        self.retries, self.batch_size = retries, batch_size
+        self.pool: ProcessPoolExecutor | None = None
+        self.ready: deque[_Task] = deque()
+        self.inflight: dict[Future, _Task] = {}
+        self.crashes: Counter = Counter()  # (cell index, seed | None) -> deaths
+        self.out: dict[int, object] = {}
+
+    def run(self, cells: Iterable[Generator]) -> list:
+        cells = enumerate(cells)
+        try:
+            while self._fill(cells):
+                self._harvest()
+        except BaseException:
+            # KeyboardInterrupt and friends: abandon in-flight work fast.
+            self._shutdown(wait=False)
+            raise
+        self._shutdown(wait=True)
+        return [self.out[index] for index in sorted(self.out)]
+
+    def _fill(self, cells) -> bool:
+        """Top the pool up, starting the next cell whenever the ready queue runs dry."""
+        while len(self.inflight) < _TASKS_PER_WORKER * self.n_jobs:
+            if not self.ready:
+                started = next(cells, None)
+                if started is None:
+                    break
+                self._advance(_Cell(*started), None)
+                continue
+            wards = {t.ward for t in self.inflight.values()} | {self.ready[0].ward}
+            if self.inflight and (len(wards) > 1 or _ALONE in wards):
+                break  # crash suspects share the pool only with their own kind
+            task = self.ready.popleft()
+            if self.pool is None:
+                self.pool = ProcessPoolExecutor(max_workers=self.n_jobs)
+                log.info("worker pool up: %d processes", self.n_jobs)
+            try:
+                self.inflight[self.pool.submit(_timed, task.fn, *task.args)] = task
+            except BrokenProcessPool:
+                # A worker died while the parent was busy with a cell: the
+                # futures in flight bring the news to _harvest, which charges
+                # them; with none in flight nobody is to blame, so rebuild.
+                self.ready.appendleft(task)
+                if self.inflight:
+                    break
+                self._shutdown(wait=False)
+        return bool(self.inflight)
+
+    def _shutdown(self, wait: bool) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=wait, cancel_futures=True)
+            self.pool = None
+
+    def _advance(self, cell: _Cell, reply) -> None:
+        """Send ``reply`` to the cell and queue the tasks of its next order."""
+        while True:
+            try:
+                order = cell.order = cell.gen.send(reply)
+            except StopIteration as stop:
+                # The cell -- its checkpoint and blob with it -- is dropped here.
+                self.out[cell.index] = stop.value
+                return
+            if isinstance(order, WarmOrder):
+                self.ready.append(_Task(cell, _run_warm, (order,)))
+                return
+            reply = cell.outcome = ({}, [])
+            batches = _batches(order.seeds, self.n_jobs, self.batch_size)
+            if batches:
+                cell.shipment = _shipment(order.context)
+                cell.open = len(batches)
+                self.ready.extend(self._batch_task(cell, batch) for batch in batches)
+                return
+
+    def _batch_task(self, cell: _Cell, seeds, ward: int = 0) -> _Task:
+        args = (*cell.shipment, cell.order.jobs(seeds), self.timeout_s)
+        return _Task(cell, _run_batch, args, tuple(seeds), ward)
+
+    def _harvest(self) -> None:
+        done, _ = wait(self.inflight, return_when=FIRST_COMPLETED)
+        if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+            # A dead worker fails every future the pool still holds.
+            done, _ = wait(self.inflight)
+        dead = []
+        for future in done:
+            task = self.inflight.pop(future)
+            if isinstance(future.exception(), BrokenProcessPool):
+                dead.append(task)
+                continue
+            value, wall_s = future.result()
+            log.debug("%s took %.3fs in its worker", task, wall_s)
+            if not task.seeds:
+                self._advance(task.cell, value)
+                continue
+            for triple in value:
+                task.cell.order.record(task.cell.outcome, *triple)
+            self._resolve(task.cell, 1)
+        if dead:
+            self._recover(dead)
+
+    def _resolve(self, cell: _Cell, tasks: int) -> None:
+        cell.open -= tasks
+        if cell.open == 0:
+            self._advance(cell, cell.outcome)
+
+    def _recover(self, dead: list[_Task]) -> None:
+        """A worker died hard.  Which task killed it is unknowable when
+        several were in flight, so each is charged and retried one seed per
+        task: first beside the other suspects only, and after a death there
+        (never final) alone, which makes the next death attributable."""
+        self._shutdown(wait=False)
+        log.warning("worker died, retrying apart what was in flight: %s", "; ".join(map(str, dead)))
+        retry = []
+        for task in dead:
+            cell, units = task.cell, task.seeds or (None,)  # a warm-up is one unit
+            ward = _ALONE if task.ward else _SUSPECT
+            survivors = []
+            for unit in units:
+                self.crashes[cell.index, unit] += 1
+                deaths = self.crashes[cell.index, unit]
+                if deaths <= self.retries or task.ward == _SUSPECT:
+                    survivors.append(unit)
+                elif unit is not None:
+                    cell.order.record(cell.outcome, unit, "crash", f"worker crashed {deaths} times")
+            if len(survivors) < len(units):
+                log.error("%s: crash retry budget (%d) exhausted", task, self.retries)
+            if task.seeds:
+                retry.extend(self._batch_task(cell, [seed], ward) for seed in survivors)
+                self._resolve(cell, 1 - len(survivors))
+            elif survivors:
+                retry.append(replace(task, ward=ward))
+            else:
+                self._advance(cell, None)
+        self.ready.extendleft(reversed(retry))
 
 
 def execute_shared(
@@ -317,92 +583,15 @@ def execute_shared(
 ) -> tuple[dict[int, SimulationResult], list[RunFailure]]:
     """Execute ``seeds`` against one shared context with fault tolerance.
 
-    Returns ``(results, failures)``; the two partitions cover every
-    seed.  ``on_result(seed, result)`` fires as each run completes
-    (persist there -- that is what makes interrupts resumable).
-    ``overrides`` maps a seed to :class:`~repro.config.RunConfig` field
-    overrides applied on top of the template for that seed alone.
-
-    Parallel semantics match the historical campaign executor: per-run
-    wall-clock timeouts are armed inside workers, a hard worker crash
-    (``BrokenProcessPool``) rebuilds the pool and resubmits every
-    unresolved seed at most ``retries`` extra times, and interrupts
-    abandon only in-flight work.
+    The one-cell case of :func:`run_cells` (whose fault-tolerance
+    contract applies): a single :class:`SeedOrder`, answered with
+    ``(results, failures)``.
     """
-    overrides = overrides or {}
-    results: dict[int, SimulationResult] = {}
-    failures: list[RunFailure] = []
 
-    def record(seed: int, status: str, payload) -> None:
-        if status == "ok":
-            results[seed] = payload
-            if on_result is not None:
-                on_result(seed, payload)
-        else:
-            failures.append(RunFailure(seed=seed, error=payload, kind=status))
+    def cell():
+        return (yield SeedOrder(context, list(seeds), overrides, on_result))
 
-    if n_jobs <= 1:
-        resident = _Resident(context)
-        for seed in seeds:
-            run = replace(context.run, seed=seed, **(overrides.get(seed) or {}))
-            status, payload = _run_guarded(resident, run, timeout_s)
-            record(seed, status, payload)
-        return results, failures
-
-    digest = context.digest
-    initargs = ([(digest, context)],)
-    pending = list(seeds)
-    crash_count = {seed: 0 for seed in seeds}
-    while pending:
-        pool = ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=_install_contexts, initargs=initargs
-        )
-        try:
-            futures = {
-                pool.submit(
-                    _run_batch,
-                    (
-                        digest,
-                        tuple((seed, overrides.get(seed)) for seed in batch),
-                        timeout_s,
-                    ),
-                ): batch
-                for batch in _batches(pending, n_jobs, batch_size)
-            }
-            done = set()
-            for future in as_completed(futures):
-                for seed, status, payload in future.result():
-                    done.add(seed)
-                    record(seed, status, payload)
-            pending = [seed for seed in pending if seed not in done]
-            pool.shutdown(wait=True)
-            if pending:
-                # A batch returned short (should not happen); treat the
-                # leftovers like a crash so the loop cannot spin forever.
-                raise BrokenProcessPool("batch returned fewer results than jobs")
-            break
-        except BrokenProcessPool:
-            # A worker died hard; which seed killed it is unknowable from
-            # here, so every unresolved seed gets one more chance.
-            pool.shutdown(wait=False, cancel_futures=True)
-            pending = [seed for seed in pending if seed not in results]
-            still = []
-            for seed in pending:
-                crash_count[seed] += 1
-                if crash_count[seed] > retries:
-                    failures.append(
-                        RunFailure(
-                            seed=seed,
-                            error=f"worker crashed {crash_count[seed]} times",
-                            kind="crash",
-                        )
-                    )
-                else:
-                    still.append(seed)
-            pending = still
-        except BaseException:
-            # KeyboardInterrupt and friends: abandon in-flight work fast;
-            # everything already recorded has been persisted by on_result.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    return results, failures
+    (outcome,) = run_cells(
+        [cell()], n_jobs=n_jobs, timeout_s=timeout_s, retries=retries, batch_size=batch_size
+    )
+    return outcome

@@ -344,17 +344,8 @@ def run_space(
         if n_jobs > 1:
             from repro.core.fanout import SharedRunContext, execute_shared
 
-            context = SharedRunContext(
-                config=config,
-                spec=spec,
-                run=run,
-                checkpoint=checkpoint,
-                warmup_mode=warmup_mode,
-                fidelity=fidelity,
-                sampling_mode=sampling_mode,
-            )
             _done, failures = execute_shared(
-                context,
+                SharedRunContext.from_request(template, checkpoint),
                 pending,
                 n_jobs=n_jobs,
                 retries=0,

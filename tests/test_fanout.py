@@ -346,14 +346,13 @@ class TestFunctionalWarmStart:
         ckpts = list((tmp_path / "checkpoints").glob("*.ckpt"))
         assert len(ckpts) == 2
 
-    def test_context_digest_folds_mode(self):
+    def test_shipment_key_folds_mode(self):
         base = dict(config=CONFIG, spec=WorkloadSpec.resolve("oltp"), run=RUN)
-        implicit = SharedRunContext(**base)
         timed = SharedRunContext(warmup_mode="timed", **base)
         functional = SharedRunContext(warmup_mode="functional", **base)
-        # the historical digest is untouched; functional never aliases it
-        assert implicit.digest == timed.digest
-        assert functional.digest != timed.digest
+        # a worker-resident context is never reused across modes
+        assert fanout_mod._shipment(functional)[0] != fanout_mod._shipment(timed)[0]
+        assert fanout_mod._shipment(timed) == fanout_mod._shipment(SharedRunContext(**base))
 
     def test_cold_parallel_functional_warmup(self):
         """Without warm_start each seed pays its own fast-forward leg;
