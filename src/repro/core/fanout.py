@@ -141,13 +141,18 @@ class _Resident:
       (:meth:`repro.system.machine.Machine.freeze`); each seed thaws an
       independent clone of that template, skipping workload generation
       and machine construction.
+
+    Live-sampled cells also keep their survey here (``survey_memo``):
+    the scout pass does not depend on the perturbation seed, so the
+    first seed to need it runs it for all of them.
     """
 
-    __slots__ = ("context", "_template")
+    __slots__ = ("context", "_template", "survey_memo")
 
     def __init__(self, context: SharedRunContext) -> None:
         self.context = context
         self._template: bytes | None = None
+        self.survey_memo: dict = {}
 
     def template(self) -> bytes:
         """The frozen cold-boot machine template (cold contexts only)."""
@@ -222,7 +227,11 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
         # per call -- exactly the factory contract live sampling needs
         # for its survey/pilot/allocation passes.
         return measure_live(
-            resident.materialize, ctx.effective, run, warmup_mode=ctx.warmup_mode
+            resident.materialize,
+            ctx.effective,
+            run,
+            warmup_mode=ctx.warmup_mode,
+            survey_memo=resident.survey_memo,
         )
     return measure_machine(
         resident.materialize(),

@@ -680,11 +680,19 @@ def _survey(
     *,
     n_intervals: int,
     interval_transactions: int,
-) -> tuple[list[dict[str, float]], bool]:
+) -> tuple[tuple[dict[str, float], ...], bool]:
     """The scout pass: functional fast-forward over the measured region
     with a signature probe attached; always functional (its whole point
     is costing no timing model), regardless of the warm-up mode the
-    measurement passes will pay."""
+    measurement passes will pay.
+
+    The result does not depend on ``run.seed``: the functional engine
+    never draws from the perturbation stream, so the scout is a function
+    of the machine the factory builds, ``run.warmup_transactions``,
+    ``run.max_time_ns`` and the two interval arguments alone -- which is
+    what lets :func:`live_window_sample` share one scout between the
+    seeds of a cell.
+    """
     from repro.probes.bus import ProbeBus
     from repro.probes.collectors import PhaseSignatureProbe
 
@@ -706,7 +714,7 @@ def _survey(
         )
     finally:
         machine.detach_probes()
-    return probe.signatures, machine.timed_out
+    return tuple(probe.signatures), machine.timed_out
 
 
 def _measure_intervals(
@@ -787,6 +795,7 @@ def live_window_sample(
     machine_factory: Callable | None = None,
     detector_kwargs: dict | None = None,
     merge_threshold: float = STRATUM_MERGE_THRESHOLD,
+    survey_memo: dict | None = None,
 ) -> LiveSample:
     """Survey, detect, stratify, and measure one seed's execution.
 
@@ -814,6 +823,12 @@ def live_window_sample(
     ``machine_factory`` overrides machine construction (the fan-out
     engine passes its resident's ``materialize``); it must return a
     *fresh* machine with fresh workload state on every call.
+
+    ``survey_memo`` lets the seeds of one cell share the scout pass,
+    which is perturbation-independent (see :func:`_survey`): a dict the
+    caller holds for as long as ``machine_factory`` keeps building the
+    same machine (same checkpoint, same configuration), keyed here on
+    the remaining scout inputs.  Entries are read-only.
     """
     if n_intervals < 2:
         raise ValueError("live sampling needs at least two intervals")
@@ -860,12 +875,23 @@ def live_window_sample(
     memo_before = stream_memo_stats().as_dict() if stream_memo_enabled() else None
 
     # -- pass 1: functional scout --------------------------------------
-    signatures, scout_timed_out = _survey(
-        machine_factory,
-        run,
-        n_intervals=n_intervals,
-        interval_transactions=interval_transactions,
+    memo_key = (
+        run.warmup_transactions,
+        run.max_time_ns,
+        n_intervals,
+        interval_transactions,
     )
+    scout = None if survey_memo is None else survey_memo.get(memo_key)
+    if scout is None:
+        scout = _survey(
+            machine_factory,
+            run,
+            n_intervals=n_intervals,
+            interval_transactions=interval_transactions,
+        )
+        if survey_memo is not None:
+            survey_memo[memo_key] = scout
+    signatures, scout_timed_out = scout
     if not signatures:
         raise ValueError(
             "survey pass completed no full interval; the workload is "
@@ -1020,6 +1046,7 @@ def measure_live(
     run: RunConfig,
     *,
     warmup_mode: str = "timed",
+    survey_memo: dict | None = None,
 ) -> "SimulationResult":
     """Execute one live-sampled run and shape it as a ``SimulationResult``.
 
@@ -1037,6 +1064,10 @@ def measure_live(
     describe only the timed windows (the run's actual timing-model
     cost), and ``stats["livesample"]`` carries the full survey /
     stratification / allocation record.
+
+    ``survey_memo`` is passed through to :func:`live_window_sample`: a
+    caller running many seeds against one ``machine_factory`` hands the
+    same dict to each call and pays for the scout pass once.
     """
     from repro.system.simulation import SimulationResult
 
@@ -1056,6 +1087,7 @@ def measure_live(
         target_fraction=LIVE_TARGET_FRACTION,
         warmup_mode=warmup_mode,
         machine_factory=machine_factory,
+        survey_memo=survey_memo,
     )
     valid = [w for w in sample.windows if w.valid]
     if not valid:

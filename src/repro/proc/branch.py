@@ -67,6 +67,7 @@ class YagsPredictor:
     """
 
     TAG_BITS = 6
+    _TAG_MASK = (1 << TAG_BITS) - 1
 
     def __init__(self, choice_entries: int = 4096, cache_entries: int = 1024) -> None:
         self.choice = _CounterTable(choice_entries)
@@ -79,7 +80,7 @@ class YagsPredictor:
         self.mispredictions = 0
 
     def _tag(self, pc: int) -> int:
-        return (pc >> 2) & ((1 << self.TAG_BITS) - 1)
+        return (pc >> 2) & self._TAG_MASK
 
     def _cache_index(self, pc: int) -> int:
         return self.taken_cache.index((pc >> 2) ^ self.history)
@@ -99,35 +100,49 @@ class YagsPredictor:
         return False
 
     def update(self, pc: int, taken: bool) -> bool:
-        """Record the outcome; returns True when the prediction was wrong."""
-        predicted = self.predict(pc)
+        """Record the outcome; returns True when the prediction was wrong.
+
+        One pass: the choice counter, cache index and tag are read once
+        and serve both the prediction (identical to :meth:`predict`) and
+        the training.  Every dict receives exactly the key writes a
+        predict-then-train walk would make, so key insertion order --
+        which ``Checkpoint.digest`` hashes -- is unchanged.
+        """
+        key = pc >> 2
+        choice_counters = self.choice._counters
+        choice_index = key & (self.choice.entries - 1)
+        choice = choice_counters.get(choice_index, 2)
+        choice_taken = choice >= 2
+        index = (key ^ self.history) & (self.taken_cache.entries - 1)
+        tag = key & self._TAG_MASK
+        # The exception cache that can contradict this bias.
+        if choice_taken:
+            tags, counters = self._not_taken_tags, self.not_taken_cache._counters
+        else:
+            tags, counters = self._taken_tags, self.taken_cache._counters
+        counter = counters.get(index, 2)
+        tag_hit = tags.get(index) == tag
+        predicted = counter >= 2 if tag_hit else choice_taken
         self.predictions += 1
         mispredicted = predicted != taken
         if mispredicted:
             self.mispredictions += 1
 
-        choice_index = self.choice.index(pc >> 2)
-        choice_taken = self.choice.read(choice_index) >= 2
-        index = self._cache_index(pc)
-        tag = self._tag(pc)
-        # The exception caches learn outcomes that contradict the bias.
-        if choice_taken and not taken:
-            self._not_taken_tags[index] = tag
-            self.not_taken_cache.update(index, taken)
-        elif not choice_taken and taken:
-            self._taken_tags[index] = tag
-            self.taken_cache.update(index, taken)
+        # The exception caches learn outcomes that contradict the bias;
+        # an outcome that agrees only refreshes a matching entry.
+        if choice_taken != taken:
+            tags[index] = tag
+            tag_hit = True
+        if taken:
+            if tag_hit:
+                counters[index] = counter + 1 if counter < 3 else 3
+            choice_counters[choice_index] = choice + 1 if choice < 3 else 3
         else:
-            # Outcome agrees with bias: refresh a matching exception entry.
-            cache = self.not_taken_cache if choice_taken else self.taken_cache
-            tags = self._not_taken_tags if choice_taken else self._taken_tags
-            if tags.get(index) == tag:
-                cache.update(index, taken)
-        # The choice PHT tracks the bias except when the exception cache
-        # already covers the contradiction (standard YAGS update rule).
-        self.choice.update(choice_index, taken)
+            if tag_hit:
+                counters[index] = counter - 1 if counter > 0 else 0
+            choice_counters[choice_index] = choice - 1 if choice > 0 else 0
         # 12-bit global history, speculatively updated with the outcome.
-        self.history = ((self.history << 1) | int(taken)) & 0xFFF
+        self.history = ((self.history << 1) | taken) & 0xFFF
         return mispredicted
 
     @property

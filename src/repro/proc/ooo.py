@@ -31,15 +31,19 @@ import math
 
 from repro.config import SystemConfig
 from repro.isa import SRC_L1
-from repro.proc.base import BranchContext, CoreModel, branch_outcome
+from repro.proc.base import (
+    INSTRUCTIONS_PER_BRANCH,
+    BranchContext,
+    CoreModel,
+    code_tables,
+)
 from repro.proc.branch import (
     CascadedIndirectPredictor,
     ReturnAddressStack,
     YagsPredictor,
 )
+from repro.sim.rng import _MASK64, splitmix64
 
-#: average instructions per branch in the synthetic instruction stream
-INSTRUCTIONS_PER_BRANCH = 5
 #: branches actually pushed through the predictors per instruction batch
 BRANCH_SAMPLES_PER_BATCH = 6
 #: smoothing for the misprediction-rate estimate used by the MLP window
@@ -67,6 +71,7 @@ class OOOCore(CoreModel):
         # Misprediction-rate estimate, seeded pessimistically (cold tables).
         self._mispredict_rate = 0.08
         self._carry_cycles = 0.0
+        self._mlp_factor = self._mlp()
 
     # ------------------------------------------------------------------
     # Instruction execution
@@ -97,25 +102,48 @@ class OOOCore(CoreModel):
             return 0.0
         samples = min(n_branches, BRANCH_SAMPLES_PER_BATCH)
         # Sample evenly across the batch so phase changes are seen.
-        stride = max(1, n_branches // samples)
+        stride = n_branches // samples
+        first = branch_ctx.counter
+        static_branches = branch_ctx.static_branches
+        seed_acc, pc_base, slot_accs, base_taken = code_tables(
+            branch_ctx.code_seed, static_branches, branch_ctx.taken_bias_milli
+        )
+        flip_below = branch_ctx.flip_noise_milli
+        indirect_below = branch_ctx.indirect_milli
+        return_below = indirect_below + branch_ctx.return_milli
+        mix = splitmix64
+        yags_update = self.yags.update
         sampled_mispredicts = 0
-        for i in range(samples):
-            counter = branch_ctx.counter + i * stride
-            pc, taken, kind, target = branch_outcome(branch_ctx, counter)
-            if kind == "indirect":
-                mispredicted = self.indirect.update(pc, target)
-            elif kind == "return":
-                # Pair each sampled return with a preceding call so the
-                # stack tracks real depth; a hash decides whether the call
-                # site matches (models deep/unbalanced call chains).
-                if counter % 16 != 0:
-                    self.ras.push(target)
-                mispredicted = self.ras.predict_return(target)
+        # branch_outcome's stream, one SplitMix64 round per key: the
+        # (code_seed, counter) round feeds both the slot and kind draws,
+        # and only the draw this branch kind consumes is made (direction
+        # for conditionals, target for indirects and returns).
+        for counter in range(first, first + samples * stride, stride):
+            key = counter & _MASK64
+            counter_acc = mix(seed_acc ^ key)
+            slot = mix(counter_acc ^ 11) % static_branches
+            kind_draw = mix(counter_acc ^ 13) % 1000
+            pc = pc_base | (slot << 4)
+            if kind_draw >= return_below:
+                flip = mix(mix(slot_accs[slot] ^ key) ^ 19) % 1000 < flip_below
+                mispredicted = yags_update(pc, base_taken[slot] != flip)
             else:
-                mispredicted = self.yags.update(pc, taken)
-            sampled_mispredicts += int(mispredicted)
+                phase = (counter // 32) & _MASK64
+                target = pc + 64 + (mix(mix(slot_accs[slot] ^ phase) ^ 23) % 4) * 64
+                if kind_draw < indirect_below:
+                    mispredicted = self.indirect.update(pc, target)
+                else:
+                    # Pair each sampled return with a preceding call so the
+                    # stack tracks real depth; a hash decides whether the
+                    # call site matches (models deep/unbalanced call chains).
+                    if counter % 16 != 0:
+                        self.ras.push(target)
+                    mispredicted = self.ras.predict_return(target)
+            if mispredicted:
+                sampled_mispredicts += 1
         rate = sampled_mispredicts / samples
         self._mispredict_rate += MISPREDICT_EWMA * (rate - self._mispredict_rate)
+        self._mlp_factor = self._mlp()
         branch_ctx.counter += n_branches
         return rate * n_branches
 
@@ -123,7 +151,12 @@ class OOOCore(CoreModel):
     # Memory stalls
     # ------------------------------------------------------------------
     def _mlp(self) -> float:
-        """Effective miss-overlap factor for the current window."""
+        """Effective miss-overlap factor for the current window.
+
+        A function of ``_mispredict_rate`` alone (the rest is
+        configuration), so it is evaluated where the rate changes and the
+        stall methods read the stored ``_mlp_factor``.
+        """
         # Instructions until the next squash, on average.
         per_mispredict = INSTRUCTIONS_PER_BRANCH / max(self._mispredict_rate, 1e-3)
         window = min(self.rob_entries, per_mispredict)
@@ -141,13 +174,13 @@ class OOOCore(CoreModel):
         """Load misses overlap under the ROB; L1 hits are fully pipelined."""
         if source == SRC_L1:
             return 0
-        return int(latency_ns / self._mlp())
+        return int(latency_ns / self._mlp_factor)
 
     def store_stall(self, latency_ns: int, source: str) -> int:
         """Stores drain through the store buffer, mostly off the path."""
         if source == SRC_L1:
             return 0
-        return int(latency_ns * STORE_VISIBILITY / self._mlp())
+        return int(latency_ns * STORE_VISIBILITY / self._mlp_factor)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -184,6 +217,7 @@ class OOOCore(CoreModel):
         self.instructions_retired = state["instructions_retired"]
         self._mispredict_rate = state["mispredict_rate"]
         self._carry_cycles = state["carry"]
+        self._mlp_factor = self._mlp()
         (
             self.yags.choice._counters,
             self.yags.taken_cache._counters,

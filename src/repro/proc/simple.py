@@ -9,7 +9,7 @@ not enter the timing.
 
 from __future__ import annotations
 
-from repro.proc.base import BranchContext, CoreModel
+from repro.proc.base import INSTRUCTIONS_PER_BRANCH, BranchContext, CoreModel
 
 
 class SimpleCore(CoreModel):
@@ -22,7 +22,7 @@ class SimpleCore(CoreModel):
         self.instructions_retired += n_instructions
         # Branches still execute (the counter advances so the stream is
         # identical across core models); they just cost nothing extra.
-        branch_ctx.counter += n_instructions // 5
+        branch_ctx.counter += n_instructions // INSTRUCTIONS_PER_BRANCH
         return n_instructions
 
     def fetch_stall(self, latency_ns: int, source: str) -> int:

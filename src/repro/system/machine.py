@@ -50,6 +50,7 @@ from repro.osmodel.locks import LockTable
 from repro.osmodel.scheduler import Scheduler
 from repro.osmodel.thread import SimThread, ThreadState
 from repro.proc import make_core
+from repro.proc.base import INSTRUCTIONS_PER_BRANCH
 from repro.proc.simple import SimpleCore
 from repro.sim.events import EV_CORE, EV_READY, EventQueue, SimulationClock
 from repro.sim.rng import stream_seed
@@ -376,6 +377,7 @@ class Machine:
         them here is safe for the machine's lifetime."""
         access = self.hierarchy.access
         cores = self.cores
+        per_branch = INSTRUCTIONS_PER_BRANCH
 
         def op_mem_simple(cpu, thread, op, now, start):
             """:meth:`_op_mem` with SimpleCore inlined (full-latency stalls)."""
@@ -392,7 +394,7 @@ class Machine:
             ``SimpleCore.instruction_time`` does."""
             n = op[1]
             cores[cpu].instructions_retired += n
-            thread.branch_ctx.counter += n // 5
+            thread.branch_ctx.counter += n // per_branch
             now += n
             now += access(cpu, op[2], False, now, True)[0]
             thread.stats.instructions += n

@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import RunConfig, SystemConfig
-from repro.system.simulation import run_simulation
+from repro.system.checkpoint import warm_checkpoint
+from repro.system.simulation import measure_machine, run_simulation
 from repro.workloads.registry import make_workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
@@ -83,6 +84,10 @@ def golden_digest(scenario: dict, seed: int = 9) -> str:
         ),
         collect_transaction_times=True,
     )
+    return _result_digest(result)
+
+
+def _result_digest(result) -> str:
     blob = repr(
         (
             result.elapsed_ns,
@@ -92,6 +97,36 @@ def golden_digest(scenario: dict, seed: int = 9) -> str:
         )
     )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def warm_ooo_digests(seed: int = 9) -> dict[str, str]:
+    """Digests of an OOO warm checkpoint and of one run measured from it.
+
+    The checkpoint digest covers every predictor table *in dict iteration
+    order* (``Checkpoint.digest`` canonicalises dicts as item lists), so
+    it pins the branch stream, the predictor updates and their key
+    insertion order all at once; the measured run pins the timing the
+    core derives from them.
+    """
+    config = SystemConfig(n_cpus=4).with_rob_entries(64)
+    checkpoint = warm_checkpoint(
+        config, make_workload("oltp", threads_per_cpu=2), warmup_transactions=200
+    )
+    result = measure_machine(
+        checkpoint.materialize(config),
+        config,
+        RunConfig(
+            measured_transactions=25,
+            warmup_transactions=0,
+            seed=seed,
+            max_time_ns=10**13,
+        ),
+        collect_transaction_times=True,
+    )
+    return {
+        "oltp-ooo-warm-checkpoint": checkpoint.digest(),
+        "oltp-ooo-warm-measure": _result_digest(result),
+    }
 
 
 def load_golden() -> dict[str, str]:
@@ -114,10 +149,22 @@ def test_matches_golden_digest(name):
     )
 
 
+def test_ooo_warm_checkpoint_matches_golden_digest():
+    golden = load_golden()
+    for name, digest in warm_ooo_digests().items():
+        assert digest == golden[name], (
+            f"{name!r} diverged from the committed golden digest: the OOO "
+            "core's branch stream, predictor state (including dict "
+            "insertion order) or timing changed for a fixed (config, seed)."
+        )
+
+
 def _regen() -> None:
     digests = {}
     for name in sorted(SCENARIOS):
         digests[name] = golden_digest(SCENARIOS[name])
+    digests.update(warm_ooo_digests())
+    for name in sorted(digests):
         print(f"{name}: {digests[name]}")
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -652,3 +652,160 @@ class TestMeasureLive:
                 self.CONFIG,
                 RunConfig(measured_transactions=1, warmup_transactions=0, seed=1),
             )
+
+
+# ---------------------------------------------------------------------------
+# One survey per cell
+# ---------------------------------------------------------------------------
+
+
+class TestSurveyOncePerCell:
+    """The scout pass is functional, the functional engine never draws
+    from the perturbation stream, so every seed of a cell surveys the
+    same thing; sharing it must change nothing but the work done."""
+
+    CONFIG = SystemConfig(n_cpus=4).with_rob_entries(64)
+    RUN = RunConfig(measured_transactions=64, warmup_transactions=0, seed=40)
+    SEEDS = range(40, 48)
+
+    @pytest.fixture(scope="class")
+    def factory(self):
+        from repro.system.checkpoint import warm_checkpoint
+        from repro.workloads.registry import make_workload
+
+        checkpoint = warm_checkpoint(
+            self.CONFIG,
+            make_workload("oltp", threads_per_cpu=2),
+            warmup_transactions=60,
+        )
+        return lambda: checkpoint.materialize(self.CONFIG)
+
+    @pytest.fixture
+    def surveys(self, monkeypatch):
+        """Count scout passes."""
+        import repro.core.livesample as livesample_mod
+
+        calls = []
+        real = livesample_mod._survey
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(livesample_mod, "_survey", counting)
+        return calls
+
+    def test_survey_does_not_depend_on_the_seed(self, factory):
+        from dataclasses import replace
+
+        from repro.core.livesample import _survey
+
+        scouts = [
+            _survey(
+                factory,
+                replace(self.RUN, seed=seed, warmup_transactions=10),
+                n_intervals=16,
+                interval_transactions=4,
+            )
+            for seed in self.SEEDS
+        ]
+        signatures, timed_out = scouts[0]
+        assert len(signatures) == 16 and not timed_out
+        for other_signatures, other_timed_out in scouts[1:]:
+            assert list(other_signatures) == list(signatures)
+            assert other_timed_out == timed_out
+
+    def test_shared_memo_changes_no_result_field(self, factory, surveys):
+        import copy
+        from dataclasses import replace
+
+        runs = [replace(self.RUN, seed=seed) for seed in self.SEEDS]
+        alone = [measure_live(factory, self.CONFIG, run) for run in runs]
+        assert len(surveys) == len(runs)
+        # the seeds do differ -- the memo is not trivially safe
+        assert len({r.cycles_per_transaction for r in alone}) > 1
+
+        del surveys[:]
+        memo: dict = {}
+        shared = [measure_live(factory, self.CONFIG, runs[0], survey_memo=memo)]
+        first_entry = copy.deepcopy(memo)
+        shared += [
+            measure_live(factory, self.CONFIG, run, survey_memo=memo)
+            for run in runs[1:]
+        ]
+        assert len(surveys) == 1
+        assert shared == alone  # dataclass equality: every field
+        assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+        # cached signatures are read, never written
+        assert memo == first_entry and len(memo) == 1
+
+    def test_memo_is_keyed_on_every_remaining_scout_input(self, factory, surveys):
+        from dataclasses import replace
+
+        variants = [
+            self.RUN,
+            replace(self.RUN, warmup_transactions=8),
+            replace(self.RUN, max_time_ns=self.RUN.max_time_ns // 2),
+            replace(self.RUN, measured_transactions=128),  # 16 intervals of 8
+            replace(self.RUN, measured_transactions=8),  # 8 intervals of 1
+        ]
+        memo: dict = {}
+        for run in variants:
+            with_memo = measure_live(factory, self.CONFIG, run, survey_memo=memo)
+            again = measure_live(
+                factory, self.CONFIG, replace(run, seed=run.seed + 1), survey_memo=memo
+            )
+            assert with_memo == measure_live(factory, self.CONFIG, run)
+            assert again == measure_live(
+                factory, self.CONFIG, replace(run, seed=run.seed + 1)
+            )
+        assert len(memo) == len(variants)
+
+    def test_a_resident_surveys_once_for_all_its_seeds(self, factory, surveys):
+        from repro.core.fanout import SharedRunContext, execute_shared
+        from repro.system.checkpoint import warm_checkpoint
+
+        spec = WorkloadSpec.resolve("oltp", workload_params={"threads_per_cpu": 2})
+        context = SharedRunContext(
+            config=self.CONFIG,
+            spec=spec,
+            run=self.RUN,
+            checkpoint=warm_checkpoint(self.CONFIG, spec.make(), warmup_transactions=60),
+            sampling_mode="live",
+        )
+        results, failures = execute_shared(context, list(self.SEEDS)[:4])
+        assert not failures and len(results) == 4
+        assert len(surveys) == 1
+        # ... and an override that moves a scout input gets its own survey
+        execute_shared(
+            context, [40, 41], overrides={41: {"measured_transactions": 32}}
+        )
+        assert len(surveys) == 3
+
+    def test_live_campaign_bytes_do_not_depend_on_width(self, tmp_path):
+        from repro.campaign import Campaign, CampaignSpec
+        from repro.store import RunStore
+        from tests.test_pipeline import fingerprint
+
+        spec = CampaignSpec(
+            configs=[
+                ("base", self.CONFIG),
+                ("dram=160", self.CONFIG.with_dram_latency(160)),
+            ],
+            workloads=[
+                WorkloadSpec.resolve("oltp", workload_params={"threads_per_cpu": 2})
+            ],
+            run=RunConfig(measured_transactions=32, warmup_transactions=30, seed=40),
+            n_runs=4,
+            warm_start=True,
+            sampling_mode="live",
+        )
+        serial_store, piped_store = RunStore(tmp_path / "1"), RunStore(tmp_path / "2")
+        serial = Campaign(spec, serial_store, n_jobs=1).run()
+        piped = Campaign(spec, piped_store, n_jobs=2).run()
+        assert fingerprint(piped, piped_store) == fingerprint(serial, serial_store)
+        assert all(
+            "livesample" in result.stats
+            for cell in serial.cells
+            for result in cell.sample.results
+        )
