@@ -17,11 +17,13 @@ window alone:
   opens it only when the hash is not in its small resident cache; job
   tuples shrink to ``(seed, run_overrides)`` and are chunked into
   batches to amortize submission overhead;
-- **restore once, clone per seed**: inside a worker the checkpoint is
-  materialized a single time into a pristine machine whose frozen form
-  (:meth:`repro.system.machine.Machine.freeze`) becomes the resident
-  state template; each seed's machine is thawed from that template -- a
-  C-speed clone -- instead of a full rebuild + re-restore;
+- **restore once, clone per seed**: a context is opened a single time
+  into a pristine machine (the checkpoint materialized, or the workload
+  booted cold) that stays resident; each seed's machine -- and each pass
+  of a live-sampled seed -- is a
+  :meth:`~repro.system.machine.Machine.clone` of it, which copies the
+  memory system's int-valued tables at C speed instead of rebuilding
+  them from the checkpoint format;
 - **one pool per campaign, cells pipelined**: :func:`run_cells` serves
   all cells from a single worker pool.  A cell is a generator that
   *orders* work -- its warm-up (:class:`WarmOrder`), then its seeds
@@ -29,9 +31,9 @@ window alone:
   seed batches, so the next cell warms while this one measures.
   :func:`execute_shared` is the one-cell case.
 
-Correctness gate: a thawed machine is bit-identical in behaviour to one
-built by the cold path (same workload reconstruction, same restore code,
-same measurement protocol via
+Correctness gate: a cloned machine is bit-identical in behaviour to one
+built by the cold path (same restore code for everything but the memory
+tables, which are copied by value; same measurement protocol via
 :func:`repro.system.simulation.measure_machine`), so fan-out samples are
 digest-equal to sequential cold-start samples; the golden-determinism
 suite and :mod:`tests.test_fanout` lock this.
@@ -69,7 +71,6 @@ from repro.core.runner import RunFailure
 from repro.system import checkpoint as checkpoint_mod
 from repro.system.machine import Machine
 from repro.system.simulation import SimulationResult, measure_machine
-from repro.workloads.registry import make_workload
 
 log = logging.getLogger(__name__)
 
@@ -128,58 +129,32 @@ class SharedRunContext:
 class _Resident:
     """Worker-resident warm state for one shared context.
 
-    The expensive shared pieces are opened in the worker once per cell
-    (:func:`_resident`); each seed then pays only the cheapest available
-    per-seed reset:
-
-    - *checkpoint contexts*: the resident checkpoint's state dict is the
-      pristine template; each seed's machine is materialized from it via
-      ``from_snapshot`` (a structured rebuild, measurably faster than a
-      pickle round-trip of a warm machine, and byte-identical to what
-      the sequential path does with the same checkpoint);
-    - *cold contexts*: the machine is booted once and frozen
-      (:meth:`repro.system.machine.Machine.freeze`); each seed thaws an
-      independent clone of that template, skipping workload generation
-      and machine construction.
+    The context is opened once per cell, on first use, into a pristine
+    machine -- its checkpoint materialized, or its workload booted cold
+    -- that is never run; every seed (and every live-sampling pass)
+    starts from a :meth:`~repro.system.machine.Machine.clone` of it.
 
     Live-sampled cells also keep their survey here (``survey_memo``):
     the scout pass does not depend on the perturbation seed, so the
     first seed to need it runs it for all of them.
     """
 
-    __slots__ = ("context", "_template", "survey_memo")
+    __slots__ = ("context", "_pristine", "survey_memo")
 
     def __init__(self, context: SharedRunContext) -> None:
         self.context = context
-        self._template: bytes | None = None
+        self._pristine: Machine | None = None
         self.survey_memo: dict = {}
 
-    def template(self) -> bytes:
-        """The frozen cold-boot machine template (cold contexts only)."""
-        if self._template is None:
-            spec = self.context.spec
-            workload = make_workload(
-                spec.name, seed=spec.seed, scale=spec.scale, **spec.params_dict
-            )
-            self._template = Machine(self.context.effective, workload).freeze()
-        return self._template
-
-    def materialize(self) -> Machine:
-        """An independent pristine machine for one seed."""
-        ctx = self.context
-        if ctx.checkpoint is not None:
-            ckpt = ctx.checkpoint
-            # A fresh workload per seed, exactly as the sequential path's
-            # ``materialize`` does -- instances must not be shared in case
-            # a workload carries mutable state.
-            workload = make_workload(
-                ckpt.workload_name,
-                seed=ckpt.workload_seed,
-                scale=ckpt.workload_scale,
-                **(ckpt.workload_params or {}),
-            )
-            return ckpt.materialize(ctx.effective, workload=workload)
-        return Machine.thaw(self.template())
+    def fresh_machine(self) -> Machine:
+        """An independent pristine machine for one seed or pass."""
+        if self._pristine is None:
+            ctx = self.context
+            if ctx.checkpoint is not None:
+                self._pristine = ctx.checkpoint.materialize(ctx.effective)
+            else:
+                self._pristine = Machine(ctx.effective, ctx.spec.make())
+        return self._pristine.clone()
 
 
 #: per-worker cache: shipment key -> resident warm state, oldest first.
@@ -219,22 +194,22 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
     if ctx.fidelity == "ffwd":
         from repro.core.fidelity import measure_functional
 
-        return measure_functional(resident.materialize(), ctx.effective, run)
+        return measure_functional(resident.fresh_machine(), ctx.effective, run)
     if ctx.sampling_mode == "live":
         from repro.core.livesample import measure_live
 
-        # ``materialize`` already returns a fresh, independent machine
-        # per call -- exactly the factory contract live sampling needs
-        # for its survey/pilot/allocation passes.
+        # ``fresh_machine`` returns an independent machine per call --
+        # exactly the factory contract live sampling needs for its
+        # survey/pilot/allocation passes.
         return measure_live(
-            resident.materialize,
+            resident.fresh_machine,
             ctx.effective,
             run,
             warmup_mode=ctx.warmup_mode,
             survey_memo=resident.survey_memo,
         )
     return measure_machine(
-        resident.materialize(),
+        resident.fresh_machine(),
         ctx.effective,
         run,
         warmup_mode=ctx.warmup_mode,
@@ -398,8 +373,14 @@ def run_cells(
 
 
 def _run_inline(cell: Generator, timeout_s: float | None):
-    """Fulfil one cell's orders in this process, as it gives them."""
-    reply = None
+    """Fulfil one cell's orders in this process, as it gives them.
+
+    Successive seed orders that carry the same context object (an
+    adaptive cell's batches) share one resident, as a pool worker's do
+    by shipment key: the context is opened, and a live cell surveyed,
+    once per cell rather than once per order.
+    """
+    reply = resident = None
     try:
         while True:
             order = cell.send(reply)
@@ -407,7 +388,9 @@ def _run_inline(cell: Generator, timeout_s: float | None):
             if isinstance(order, WarmOrder):
                 reply = _run_warm(order)
             else:
-                reply, resident = ({}, []), _Resident(order.context)
+                if resident is None or resident.context is not order.context:
+                    resident = _Resident(order.context)
+                reply = ({}, [])
                 for triple in _run_jobs(resident, order.jobs(order.seeds), timeout_s):
                     order.record(reply, *triple)
             log.debug("in-process %s took %.3fs", type(order).__name__, time.perf_counter() - start)

@@ -235,13 +235,11 @@ def fast_forward_transactions(
                     line = lines.get(block)
                     is_write = op[2]
                     if line is not None and (
-                        not is_write or line.code == _RW
+                        not is_write or line >> 1 == _RW
                     ):
                         del lines[block]
-                        lines[block] = line
+                        lines[block] = line | 1 if is_write else line
                         l1d_stats.hits += 1
-                        if is_write:
-                            line.dirty = True
                         hstats.accesses += 1
                         hstats.l1_hits += 1
                     else:

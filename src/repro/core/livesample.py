@@ -821,7 +821,7 @@ def live_window_sample(
     functional.
 
     ``machine_factory`` overrides machine construction (the fan-out
-    engine passes its resident's ``materialize``); it must return a
+    engine passes its resident's ``fresh_machine``); it must return a
     *fresh* machine with fresh workload state on every call.
 
     ``survey_memo`` lets the seeds of one cell share the scout pass,
@@ -854,16 +854,15 @@ def live_window_sample(
         from repro.core.request import WorkloadSpec
         from repro.system.machine import Machine
 
-        spec = WorkloadSpec.resolve(workload)
-
-        def machine_factory():
-            # Each pass needs untouched workload state, so the spec is
-            # re-instantiated per call rather than reusing the caller's
-            # (possibly shared) instance.
-            fresh = spec.make()
-            if checkpoint is not None:
-                return checkpoint.materialize(config, workload=fresh)
-            return Machine(config, fresh)
+        # Each pass needs untouched state, and the caller's workload
+        # instance may be shared: build one pristine machine from the
+        # re-instantiated spec, never run it, and clone it per pass.
+        fresh = WorkloadSpec.resolve(workload).make()
+        if checkpoint is not None:
+            pristine = checkpoint.materialize(config, workload=fresh)
+        else:
+            pristine = Machine(config, fresh)
+        machine_factory = pristine.clone
 
     # The three passes replay one region from identical initial
     # conditions, which is exactly the shape the transaction-stream memo

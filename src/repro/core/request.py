@@ -353,33 +353,25 @@ def execute_request(request: RunRequest, checkpoint=None):
         )
     config = request.effective_config
     workload = request.workload.make()
-    if request.fidelity == "ffwd":
-        from repro.core.fidelity import measure_functional
-
+    if request.fidelity == "ffwd" or request.sampling_mode == "live":
         if checkpoint is not None:
             machine = checkpoint.materialize(config, workload=workload)
         else:
             from repro.system.machine import Machine
 
             machine = Machine(config, workload)
-        return measure_functional(machine, config, request.run)
-    if request.sampling_mode == "live":
+        if request.fidelity == "ffwd":
+            from repro.core.fidelity import measure_functional
+
+            return measure_functional(machine, config, request.run)
         from repro.core.livesample import measure_live
 
-        def machine_factory():
-            # Live sampling runs several passes (functional scout, pilot
-            # windows, allocated windows), each from identical initial
-            # conditions -- so the factory rebuilds workload state fresh
-            # every call rather than sharing one mutated instance.
-            fresh = request.workload.make()
-            if checkpoint is not None:
-                return checkpoint.materialize(config, workload=fresh)
-            from repro.system.machine import Machine
-
-            return Machine(config, fresh)
-
+        # Live sampling runs several passes (functional scout, pilot
+        # windows, allocated windows), each from identical initial
+        # conditions: the machine built above is never run, every pass
+        # starts from a clone of it.
         return measure_live(
-            machine_factory,
+            machine.clone,
             config,
             request.run,
             warmup_mode=request.warmup_mode,

@@ -7,67 +7,41 @@ coherence *protocol* live elsewhere (:mod:`repro.memory.hierarchy` and
 keeps it easy to test exhaustively.
 
 Sets are stored as a preallocated list (indexed by set number) of ordered
-dicts mapping block number to :class:`CacheLine`; dict order is recency
-order with the most recently used line last.  The list form keeps the hot
-lookup path to one index plus one dict probe, with no exists-yet branch.
+dicts mapping block number to the line's *value*, one int
+``state_code << 1 | dirty`` (:data:`repro.memory.coherence.STATE_CODES`);
+dict order is recency order with the most recently used line last.  The
+list form keeps the hot lookup path to one index plus one dict probe, with
+no exists-yet branch, and because a line is a value rather than an object
+a whole array copies with ``dict.copy()`` per set (:meth:`copy_from`) --
+which is what makes :meth:`repro.system.machine.Machine.clone` cheap.
+The hot paths in :mod:`repro.memory.hierarchy` and :mod:`repro.core.ffwd`
+read and write the ints directly; everything else sees a
+:class:`CacheLine` view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.config import CacheConfig
 from repro.memory.coherence import STATE_CODES, STATE_NAMES
 
 
-class CacheLine:
-    """State of one resident cache block.
+class CacheLine(NamedTuple):
+    """A read-only view of one resident block, built on demand at the
+    boundary (``peek``/``lookup``/victims, tests, invariant checks); the
+    cache itself stores ``state_code << 1 | dirty`` ints."""
 
-    The coherence (or L1 permission) state is stored as its integer code
-    (:data:`repro.memory.coherence.STATE_CODES`) in the ``code`` slot --
-    the hot paths in :mod:`repro.memory.hierarchy`, :mod:`repro.core.ffwd`
-    and :mod:`repro.system.machine` compare and assign codes directly.
-    The ``state`` property keeps the historical string form at every
-    boundary (snapshots, tests, invariant checks, replay), so external
-    formats are unchanged: a constructor or setter accepts either form.
-    """
+    block: int
+    state: str
+    dirty: bool
 
-    __slots__ = ("block", "code", "dirty")
 
-    def __init__(self, block: int, state: str | int = "I", dirty: bool = False) -> None:
-        self.block = block
-        self.code = STATE_CODES[state] if type(state) is str else state
-        self.dirty = dirty
-
-    @property
-    def state(self) -> str:
-        """The state as its canonical name (decoded from ``code``)."""
-        return STATE_NAMES[self.code]
-
-    @state.setter
-    def state(self, value: str | int) -> None:
-        self.code = STATE_CODES[value] if type(value) is str else value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheLine):
-            return NotImplemented
-        return (
-            self.block == other.block
-            and self.code == other.code
-            and self.dirty == other.dirty
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheLine(block={self.block}, state={self.state!r}, "
-            f"dirty={self.dirty})"
-        )
-
-    def __getstate__(self) -> tuple[int, int, bool]:
-        return (self.block, self.code, self.dirty)
-
-    def __setstate__(self, state: tuple[int, int, bool]) -> None:
-        self.block, self.code, self.dirty = state
+def _view(block: int, value: int | None) -> CacheLine | None:
+    if value is None:
+        return None
+    return CacheLine(block, STATE_NAMES[value >> 1], bool(value & 1))
 
 
 @dataclass(slots=True)
@@ -100,8 +74,9 @@ class SetAssociativeCache:
         self.n_sets = config.n_sets
         self.associativity = config.associativity
         self.stats = CacheStats()
-        # set index -> {block: CacheLine}, dict order == LRU order (MRU last)
-        self._sets: list[dict[int, CacheLine]] = [{} for _ in range(self.n_sets)]
+        # set index -> {block: code << 1 | dirty}, dict order == LRU order
+        # (MRU last)
+        self._sets: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
 
     def set_index(self, block: int) -> int:
         """Return the set a block maps to."""
@@ -115,47 +90,22 @@ class SetAssociativeCache:
         not pollute local demand statistics).
         """
         lines = self._sets[block % self.n_sets]
-        line = lines.get(block)
-        if line is None:
+        value = lines.get(block)
+        if value is None:
             if count:
                 self.stats.misses += 1
             return None
         if update_lru:
             # Re-insert to move the block to MRU position.
             del lines[block]
-            lines[block] = line
+            lines[block] = value
         if count:
             self.stats.hits += 1
-        return line
+        return _view(block, value)
 
     def peek(self, block: int) -> CacheLine | None:
         """Probe for a line without touching LRU order or counters."""
-        return self._sets[block % self.n_sets].get(block)
-
-    def fill(self, block: int, state: str, dirty: bool = False) -> None:
-        """Install or refresh ``block`` at MRU, dropping any LRU victim.
-
-        Equivalent to ``evict(block)`` followed by ``insert(block, ...)``
-        with the capacity victim discarded -- an already-resident line is
-        updated in place, and an evicted line object is recycled for the
-        incoming block instead of being reallocated.  This is the L1 fill
-        path, taken on every L1 miss: L1 victims always fold into the
-        inclusive L2 copy, so no caller needs them.
-        """
-        lines = self._sets[block % self.n_sets]
-        line = lines.pop(block, None)
-        if line is None:
-            if len(lines) >= self.associativity:
-                # LRU victim is the first (oldest) entry; recycle it.
-                line = lines.pop(next(iter(lines)))
-                self.stats.evictions += 1
-                line.block = block
-            else:
-                lines[block] = CacheLine(block=block, state=state, dirty=dirty)
-                return
-        line.state = state
-        line.dirty = dirty
-        lines[block] = line
+        return _view(block, self._sets[block % self.n_sets].get(block))
 
     def insert(self, block: int, state: str, dirty: bool = False) -> CacheLine | None:
         """Install a block, returning the evicted victim line if any.
@@ -171,14 +121,21 @@ class SetAssociativeCache:
         if len(lines) >= self.associativity:
             # LRU victim is the first (oldest) entry.
             victim_block = next(iter(lines))
-            victim = lines.pop(victim_block)
+            victim = _view(victim_block, lines.pop(victim_block))
             self.stats.evictions += 1
-        lines[block] = CacheLine(block=block, state=state, dirty=dirty)
+        lines[block] = STATE_CODES[state] << 1 | bool(dirty)
         return victim
+
+    def set_state(self, block: int, state: str) -> None:
+        """Overwrite a resident line's state in place (LRU position and
+        dirty bit kept).  Nothing in the simulator calls this: it is how a
+        test or a debugger corrupts a line on purpose."""
+        lines = self._sets[block % self.n_sets]
+        lines[block] = STATE_CODES[state] << 1 | lines[block] & 1
 
     def evict(self, block: int) -> CacheLine | None:
         """Remove a block (coherence invalidation or recall), if resident."""
-        return self._sets[block % self.n_sets].pop(block, None)
+        return _view(block, self._sets[block % self.n_sets].pop(block, None))
 
     def resident_blocks(self) -> list[int]:
         """Return every resident block number (test/diagnostic helper)."""
@@ -196,11 +153,21 @@ class SetAssociativeCache:
         self._sets = [{} for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
+    def copy_from(self, other: "SetAssociativeCache") -> None:
+        """Take the contents, LRU order and counters of ``other`` (an array
+        of the same geometry) by value: nothing stays shared, since lines
+        are ints."""
+        self._sets = [lines.copy() for lines in other._sets]
+        self.stats = replace(other.stats)
+
     def snapshot(self) -> dict:
         """Return a checkpointable copy of the array contents."""
         return {
             "sets": {
-                index: [(line.block, line.state, line.dirty) for line in lines.values()]
+                index: [
+                    (block, STATE_NAMES[value >> 1], bool(value & 1))
+                    for block, value in lines.items()
+                ]
                 for index, lines in enumerate(self._sets)
                 if lines
             },
@@ -213,7 +180,7 @@ class SetAssociativeCache:
         cache = cls(config, name=name)
         for index, lines in state["sets"].items():
             cache._sets[int(index)] = {
-                block: CacheLine(block=block, state=line_state, dirty=dirty)
+                block: STATE_CODES[line_state] << 1 | bool(dirty)
                 for block, line_state, dirty in lines
             }
         hits, misses, evictions = state["stats"]

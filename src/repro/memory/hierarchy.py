@@ -10,8 +10,15 @@ Coherence is the table-driven MOSI protocol from
 time: the requesting controller is stepped through its transient states
 (IS_D / IM_D / SM_D / OM_D) while every remote copy observes the
 corresponding OTHER_* event, exactly as the protocol table dictates.  A
-directory (owner + sharer sets derived from L2 states) accelerates the
+directory (owner + sharer bitmask derived from L2 states) accelerates the
 snoop lookup; semantics are identical to broadcasting to all nodes.
+
+All mutable state is plain values: a resident line is the int
+``state_code << 1 | dirty`` in its set dict (:mod:`repro.memory.cache`)
+and a directory entry is an int -- the owner node, or the bitmask of
+sharer nodes -- that is *replaced*, never mutated.  Copying a hierarchy
+(:meth:`MemoryHierarchy.copy_state_from`) is therefore ``dict.copy()``
+per table, with nothing left shared between the copies.
 
 Two timing couplings make the hierarchy sensitive to small perturbations,
 which is the paper's central mechanism:
@@ -39,7 +46,7 @@ from repro.isa import (
     SRC_MEMORY,
     SRC_UPGRADE,
 )
-from repro.memory.cache import CacheLine, SetAssociativeCache
+from repro.memory.cache import SetAssociativeCache
 from repro.memory.coherence import (
     ACT_DEALLOCATE,
     ACT_HIT,
@@ -62,6 +69,7 @@ from repro.memory.coherence import (
     ST_RO,
     ST_RW,
     ST_S,
+    STATE_NAMES,
     event_column,
     illegal_transition,
     int_table_for,
@@ -78,15 +86,25 @@ L1_READ_WRITE = "RW"
 L1_RO_CODE = ST_RO
 L1_RW_CODE = ST_RW
 
-#: hot-path constants: lines store coherence state as the integer code
+#: hot-path constants: a line is ``state_code << 1 | dirty``
 _M = ST_M
 _S = ST_S
 _E = ST_E
 _RO = ST_RO
 _RW = ST_RW
 
-#: shared empty sharer set (read-only uses only; avoids a set() per miss)
-_EMPTY_SET: frozenset = frozenset()
+
+def sharer_nodes(mask: int) -> list[int]:
+    """The nodes of a directory sharer bitmask, ascending."""
+    nodes = []
+    node = 0
+    while mask:
+        if mask & 1:
+            nodes.append(node)
+        mask >>= 1
+        node += 1
+    return nodes
+
 
 #: access outcomes are plain ``(latency_ns, source)`` tuples on the hot
 #: path; this alias documents intent (``source`` is a repro.isa SRC_* code)
@@ -151,9 +169,9 @@ class MemoryHierarchy:
         )
         self._owner_mask = PROTOCOL_OWNER_MASKS[self.protocol]
         # Directory derived from L2 states: block -> owner node (M or O
-        # copy), block -> set of nodes with any readable copy.
+        # copy), block -> bitmask of nodes with any readable copy.
         self._owner: dict[int, int] = {}
-        self._sharers: dict[int, set[int]] = {}
+        self._sharers: dict[int, int] = {}
         # Per-block transaction busy windows (timing-dependent races).
         self._block_busy: dict[int, int] = {}
         # Perturbation stream; reseeded per run by the runner.
@@ -223,13 +241,12 @@ class MemoryHierarchy:
             l1.stats.misses += 1
         else:
             del lines[block]
-            lines[block] = line
             l1.stats.hits += 1
-            if not is_write or line.code == _RW:
-                if is_write:
-                    line.dirty = True
+            if not is_write or line >> 1 == _RW:
+                lines[block] = line | 1 if is_write else line
                 stats.l1_hits += 1
                 return self._l1i_hit if is_instruction else self._l1d_hit
+            lines[block] = line
 
         # L1 miss (or write to a read-only L1 line): go to the local L2.
         # The L2 lookup and demand transition are inlined here (one call
@@ -248,18 +265,16 @@ class MemoryHierarchy:
         l2_line = l2_lines.get(block)
         if l2_line is not None:
             del l2_lines[block]
-            l2_lines[block] = l2_line
             l2.stats.hits += 1
-            entry = self._demand[is_write][l2_line.code]
+            entry = self._demand[is_write][l2_line >> 1]
             if entry is None:
+                l2_lines[block] = l2_line
                 raise illegal_transition(
-                    l2_line.code, EV_STORE if is_write else EV_LOAD
+                    l2_line >> 1, EV_STORE if is_write else EV_LOAD
                 )
             hit, next_code = entry
-            l2_line.code = next_code
             if hit:
-                if is_write:
-                    l2_line.dirty = True
+                l2_lines[block] = next_code << 1 | (1 if is_write else l2_line & 1)
                 self.stats.l2_hits += 1
                 source = SRC_L2
                 writable = next_code == _M
@@ -267,8 +282,9 @@ class MemoryHierarchy:
                 # Upgrade path: the line stays resident in a transient
                 # state while the GetM is outstanding; OWN_ACK lands the
                 # requestor's copy in M, so the L1 fill is writable.
+                l2_lines[block] = next_code << 1 | l2_line & 1
                 miss_latency, source = self._global_transaction(
-                    node, block, is_write, now + latency, l2_line, timed
+                    node, block, is_write, now + latency, next_code, timed
                 )
                 latency += miss_latency
                 writable = True
@@ -286,27 +302,17 @@ class MemoryHierarchy:
 
         # Fill the L1 under inclusion (l1.fill inlined; runs once per L1
         # miss).  A write-permission change replaces any stale read-only
-        # copy -- ``line``, still at MRU from the lookup above, is
-        # refreshed in place.  L1 write permission requires the L2 copy
-        # to be M specifically.  A dirty L1 victim folds into the L2 copy
-        # (inclusion guarantees the L2 holds the block in M, which is
-        # already dirty), so the victim is recycled for the incoming
-        # block.  The global transaction never touches this node's L1
+        # copy -- its key, still at MRU from the lookup above, keeps its
+        # place when the value is overwritten.  L1 write permission
+        # requires the L2 copy to be M specifically.  A dirty L1 victim
+        # folds into the L2 copy (inclusion guarantees the L2 holds the
+        # block in M, which is already dirty), so the victim is simply
+        # dropped.  The global transaction never touches this node's L1
         # copy of ``block``, so ``lines``/``line`` remain valid.
-        code = _RW if writable else _RO
-        if line is not None:
-            line.code = code
-            line.dirty = is_write
-        else:
-            if len(lines) >= l1.associativity:
-                line = lines.pop(next(iter(lines)))
-                l1.stats.evictions += 1
-                line.block = block
-                line.code = code
-                line.dirty = is_write
-                lines[block] = line
-            else:
-                lines[block] = CacheLine(block, code, is_write)
+        if line is None and len(lines) >= l1.associativity:
+            del lines[next(iter(lines))]
+            l1.stats.evictions += 1
+        lines[block] = (_RW if writable else _RO) << 1 | (1 if is_write else 0)
         return (latency, source)
 
     def access_functional(
@@ -340,8 +346,9 @@ class MemoryHierarchy:
     ) -> tuple:
         """Resolve a GetS/GetM on the interconnect.
 
-        ``upgrading`` is the requestor's resident L2 line when the request
-        is an upgrade (SM_D/OM_D), else None.  Untimed, the protocol and
+        ``upgrading`` is the transient state code (SM_D/OM_D) of the
+        requestor's resident L2 line when the request is an upgrade, else
+        None.  Untimed, the protocol and
         directory transitions are the same and the latency is 0: no busy
         window, no perturbation draw, no crossbar/DRAM occupancy.
         """
@@ -369,7 +376,7 @@ class MemoryHierarchy:
                 self.stats.perturbation_total_ns += jitter
 
         owner = self._owner.get(block)
-        sharers = self._sharers.get(block) or _EMPTY_SET
+        sharers = self._sharers.get(block, 0)
 
         if is_write:
             resolved, source = self._resolve_getm(
@@ -393,7 +400,7 @@ class MemoryHierarchy:
         block: int,
         now: int,
         owner: int | None,
-        sharers: set[int],
+        sharers: int,
         timed: bool,
     ) -> tuple:
         """Resolve a load miss: data from the owner cache or from memory."""
@@ -408,8 +415,9 @@ class MemoryHierarchy:
             self.stats.cache_to_cache += 1
             # The supplier may have dropped out of the owner states
             # (MESI M->S): ownership reverts to memory.
-            supplier = self.l2[owner].peek(block)
-            if supplier is None or not (1 << supplier.code) & self._owner_mask:
+            cache = self.l2[owner]
+            supplier = cache._sets[block % cache.n_sets].get(block)
+            if supplier is None or not (1 << (supplier >> 1)) & self._owner_mask:
                 self._owner.pop(block, None)
         else:
             if timed:
@@ -419,16 +427,10 @@ class MemoryHierarchy:
         # Requestor: IS_D + OWN_DATA -> S; with no other copy and an
         # E-capable protocol, IS_D + OWN_DATA_EXCL -> E.
         exclusive = (
-            self._has_exclusive
-            and owner is None
-            and (not sharers or (len(sharers) == 1 and node in sharers))
+            self._has_exclusive and owner is None and not sharers & ~(1 << node)
         )
         self._fill(node, block, _E if exclusive else _S, False, timed)
-        current = self._sharers.get(block)
-        if current is None:
-            self._sharers[block] = {node}
-        else:
-            current.add(node)
+        self._sharers[block] = self._sharers.get(block, 0) | 1 << node
         if exclusive:
             self._owner[block] = node
         return (latency, source)
@@ -439,41 +441,33 @@ class MemoryHierarchy:
         block: int,
         now: int,
         owner: int | None,
-        sharers: set[int],
-        upgrading,
+        sharers: int,
+        upgrading: int | None,
         timed: bool,
     ) -> tuple:
         """Resolve a store miss/upgrade: invalidate all other copies."""
         latency = 0
-        # Remote copies observe OTHER_GETM.
-        data_from_cache = False
-        if sharers:
-            if len(sharers) == 1:
-                # Dominant case: one holder.  Skip the sort allocation of
-                # the general path.  (Bind before applying: the transition
-                # mutates the sharer set.)
-                sharer = next(iter(sharers))
-                if sharer != node:
-                    self._apply_remote(sharer, block, EV_OTHER_GETM, timed)
+        # Remote copies observe OTHER_GETM, in node order.  ``sharers`` is
+        # a value, so the directory updates those transitions make cannot
+        # disturb the walk.
+        remote = sharers & ~(1 << node)
+        if remote:
+            if not remote & (remote - 1):
+                # Dominant case: one remote holder.
+                self._apply_remote(remote.bit_length() - 1, block, EV_OTHER_GETM, timed)
             else:
-                # sorted() materializes a copy first, so directory mutation
-                # during the walk is safe; skipping ``node`` inside the
-                # loop visits exactly sorted(sharers - {node}) in the same
-                # order, minus the set-difference allocation.
-                for sharer in sorted(sharers):
-                    if sharer != node:
-                        self._apply_remote(sharer, block, EV_OTHER_GETM, timed)
-        if owner is not None and owner != node:
-            data_from_cache = True
+                for sharer in sharer_nodes(remote):
+                    self._apply_remote(sharer, block, EV_OTHER_GETM, timed)
+        data_from_cache = owner is not None and owner != node
 
         if upgrading is not None:
             # SM_D/OM_D + OWN_ACK -> M.  Invalidation round trip only; the
             # requestor already holds the data.
-            entry = self._int_table[upgrading.code * N_EVENTS + EV_OWN_ACK]
+            entry = self._int_table[upgrading * N_EVENTS + EV_OWN_ACK]
             if entry is None:
-                raise illegal_transition(upgrading.code, EV_OWN_ACK)
-            upgrading.code = entry[1]
-            upgrading.dirty = True
+                raise illegal_transition(upgrading, EV_OWN_ACK)
+            cache = self.l2[node]
+            cache._sets[block % cache.n_sets][block] = entry[1] << 1 | 1
             if timed:
                 latency = self.crossbar.round_trip(now)
             source = SRC_UPGRADE
@@ -491,18 +485,11 @@ class MemoryHierarchy:
             self.stats.memory_fetches += 1
             self._fill(node, block, _M, True, timed)
 
-        # Directory: the requestor is now the sole owner.  Every remote
-        # copy was just invalidated above (remote stable states all
-        # deallocate on OTHER_GETM), so a surviving sharer-set object
-        # holds at most {node}: reuse it instead of allocating a fresh
-        # one-element set per GetM.
+        # Directory: the requestor is now the sole owner (every remote
+        # copy was just invalidated above: remote stable states all
+        # deallocate on OTHER_GETM).
         self._owner[block] = node
-        current = self._sharers.get(block)
-        if current is not None:
-            current.clear()
-            current.add(node)
-        else:
-            self._sharers[block] = {node}
+        self._sharers[block] = 1 << node
         return (latency, source)
 
     # ------------------------------------------------------------------
@@ -515,23 +502,24 @@ class MemoryHierarchy:
         line = lines.get(block)
         if line is None:
             return
-        entry = self._int_table[line.code * N_EVENTS + event_code]
+        entry = self._int_table[(line >> 1) * N_EVENTS + event_code]
         if entry is None:
-            raise illegal_transition(line.code, event_code)
+            raise illegal_transition(line >> 1, event_code)
         flags, next_code = entry
+        dirty = line & 1
         if flags & ACT_WRITEBACK:
             # MESI: a read-shared M copy flushes to memory (no O state).
             # Counted either way; only a timed one occupies the DRAM model.
             if timed:
                 self.dram.writeback(block, self._block_busy.get(block, 0))
             self.stats.writebacks += 1
-            line.dirty = False
+            dirty = 0
         if flags & ACT_DEALLOCATE:
             del lines[block]
             self._drop_l1(node, block)
             self._directory_remove(node, block)
         else:
-            line.code = next_code
+            lines[block] = next_code << 1 | dirty
             # Losing write permission demotes any RW L1 copy.
             self._demote_l1(node, block)
 
@@ -541,32 +529,20 @@ class MemoryHierarchy:
         Fused peek + insert over the set dict (one pass; runs once per
         L2 fill).  An existing line is overwritten in place *without* an
         LRU move -- IM_D after a racing OTHER_GETM stripped us while
-        upgrading leaves the line object resident -- exactly as the
-        peek-then-insert form behaved.  A capacity victim's line object
-        is recycled for the incoming block (its old identity is passed on
-        to the eviction leg by value), saving one allocation per miss
-        once the L2 sets run full.
+        upgrading leaves the line resident -- exactly as the
+        peek-then-insert form behaved.
         """
         cache = self.l2[node]
         lines = cache._sets[block % cache.n_sets]
-        existing = lines.get(block)
-        if existing is not None:
-            existing.code = code
-            existing.dirty = dirty
+        if block in lines or len(lines) < cache.associativity:
+            lines[block] = code << 1 | dirty
             return
-        if len(lines) >= cache.associativity:
-            # LRU victim is the first (oldest) entry.
-            victim = lines.pop(next(iter(lines)))
-            cache.stats.evictions += 1
-            victim_block = victim.block
-            victim_code = victim.code
-            victim.block = block
-            victim.code = code
-            victim.dirty = dirty
-            lines[block] = victim
-            self._handle_l2_eviction(node, victim_block, victim_code, timed)
-        else:
-            lines[block] = CacheLine(block, code, dirty)
+        # LRU victim is the first (oldest) entry.
+        victim_block = next(iter(lines))
+        victim = lines.pop(victim_block)
+        cache.stats.evictions += 1
+        lines[block] = code << 1 | dirty
+        self._handle_l2_eviction(node, victim_block, victim >> 1, timed)
 
     def _handle_l2_eviction(
         self, node: int, victim_block: int, victim_code: int, timed: bool
@@ -591,9 +567,11 @@ class MemoryHierarchy:
         """Remove a node's copy from the directory."""
         sharers = self._sharers.get(block)
         if sharers is not None:
-            sharers.discard(node)
-            if not sharers:
-                self._sharers.pop(block, None)
+            sharers &= ~(1 << node)
+            if sharers:
+                self._sharers[block] = sharers
+            else:
+                del self._sharers[block]
         if self._owner.get(block) == node:
             self._owner.pop(block, None)
 
@@ -607,9 +585,10 @@ class MemoryHierarchy:
     def _demote_l1(self, node: int, block: int) -> None:
         """Strip write permission from an L1 copy after an L2 demotion."""
         cache = self.l1d[node]
-        line = cache._sets[block % cache.n_sets].get(block)
+        lines = cache._sets[block % cache.n_sets]
+        line = lines.get(block)
         if line is not None:
-            line.code = _RO
+            lines[block] = _RO << 1 | line & 1
 
     # ------------------------------------------------------------------
     # Directory maintenance
@@ -626,18 +605,17 @@ class MemoryHierarchy:
         invariant holds.
         """
         owner: dict[int, int] = {}
-        sharers: dict[int, set[int]] = {}
+        sharers: dict[int, int] = {}
         owner_mask = self._owner_mask
         for node in range(self.config.n_cpus):
-            cache = self.l2[node]
-            for block in cache.resident_blocks():
-                line = cache.peek(block)
-                sharers.setdefault(block, set()).add(node)
-                if (1 << line.code) & owner_mask:
-                    if block in owner:
-                        line.code = _S
-                    else:
-                        owner[block] = node
+            for lines in self.l2[node]._sets:
+                for block, line in lines.items():
+                    sharers[block] = sharers.get(block, 0) | 1 << node
+                    if (1 << (line >> 1)) & owner_mask:
+                        if block in owner:
+                            lines[block] = _S << 1 | line & 1
+                        else:
+                            owner[block] = node
         self._owner = owner
         self._sharers = sharers
 
@@ -659,9 +637,9 @@ class MemoryHierarchy:
 
         def contents(cache) -> list:
             return sorted(
-                (line.block, line.state, bool(line.dirty))
+                (block, STATE_NAMES[line >> 1], bool(line & 1))
                 for lines in cache._sets
-                for line in lines.values()
+                for block, line in lines.items()
             )
 
         def order(cache) -> list:
@@ -672,7 +650,7 @@ class MemoryHierarchy:
             "l1d": [contents(c) for c in self.l1d],
             "l2": [contents(c) for c in self.l2],
             "owner": dict(sorted(self._owner.items())),
-            "sharers": {b: sorted(s) for b, s in sorted(self._sharers.items())},
+            "sharers": {b: sharer_nodes(s) for b, s in sorted(self._sharers.items())},
         }
         if include_order:
             doc["lru"] = {
@@ -694,9 +672,9 @@ class MemoryHierarchy:
         problems: list[str] = []
         by_block: dict[int, list[tuple[int, int]]] = {}
         for node in range(self.config.n_cpus):
-            for block in self.l2[node].resident_blocks():
-                line = self.l2[node].peek(block)
-                by_block.setdefault(block, []).append((node, line.code))
+            for lines in self.l2[node]._sets:
+                for block, line in lines.items():
+                    by_block.setdefault(block, []).append((node, line >> 1))
         owner_mask = self._owner_mask
         for block, copies in by_block.items():
             m_holders = [n for n, c in copies if c == ST_M or c == ST_E]
@@ -713,10 +691,10 @@ class MemoryHierarchy:
                 problems.append(
                     f"block {block}: directory owner {dir_owner} != actual {owners[0]}"
                 )
-            dir_sharers = self._sharers.get(block, set())
-            if readable != dir_sharers:
+            dir_sharers = sharer_nodes(self._sharers.get(block, 0))
+            if sorted(readable) != dir_sharers:
                 problems.append(
-                    f"block {block}: directory sharers {sorted(dir_sharers)} != "
+                    f"block {block}: directory sharers {dir_sharers} != "
                     f"actual {sorted(readable)}"
                 )
         return problems
@@ -731,7 +709,7 @@ class MemoryHierarchy:
             "l1d": [c.snapshot() for c in self.l1d],
             "l2": [c.snapshot() for c in self.l2],
             "owner": dict(self._owner),
-            "sharers": {b: set(s) for b, s in self._sharers.items()},
+            "sharers": {b: set(sharer_nodes(s)) for b, s in self._sharers.items()},
             "block_busy": dict(self._block_busy),
             "crossbar": self.crossbar.snapshot(),
             "dram": self.dram.snapshot(),
@@ -753,9 +731,32 @@ class MemoryHierarchy:
             for i, s in enumerate(state["l2"])
         ]
         self._owner = dict(state["owner"])
-        self._sharers = {b: set(s) for b, s in state["sharers"].items()}
+        self._sharers = {
+            b: sum(1 << node for node in s) for b, s in state["sharers"].items()
+        }
         self._block_busy = dict(state["block_busy"])
         self.crossbar.restore_state(state["crossbar"])
         self.dram.restore_state(state["dram"])
         self._perturb = RandomStream.restore(state["perturb"])
+        self.stats = HierarchyStats()
+
+    def copy_state_from(self, other: "MemoryHierarchy") -> None:
+        """Take the state of ``other`` (same configuration) by value.
+
+        The result is what ``restore_state(other.snapshot())`` builds,
+        without the trip through the external format: every table is
+        copied with ``dict.copy()`` and holds only ints, so the two
+        hierarchies share nothing mutable afterwards.
+        """
+        for mine, theirs in (
+            (self.l1i, other.l1i), (self.l1d, other.l1d), (self.l2, other.l2)
+        ):
+            for cache, source in zip(mine, theirs):
+                cache.copy_from(source)
+        self._owner = other._owner.copy()
+        self._sharers = other._sharers.copy()
+        self._block_busy = other._block_busy.copy()
+        self.crossbar.restore_state(other.crossbar.snapshot())
+        self.dram.restore_state(other.dram.snapshot())
+        self._perturb = RandomStream.restore(other._perturb.snapshot())
         self.stats = HierarchyStats()

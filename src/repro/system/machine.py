@@ -11,9 +11,13 @@ Two event kinds drive everything:
 - ``EV_READY`` (payload: tid) -- a thread wakes (I/O done, lock granted,
   barrier released) and is placed on a run queue; an idle CPU is kicked.
 
-Operations are executed by per-opcode handler methods bound through
+Operations are executed by per-opcode handlers reached through
 ``self._dispatch``, a table indexed by the integer opcodes of
-:mod:`repro.isa`.  Each handler returns the advanced ``now``, or ``-1``
+:mod:`repro.isa` whose entries are plain functions called with the
+machine as first argument (not bound methods: a table of those would be
+a reference cycle through the machine, and a dropped machine -- one per
+seed, per sampling pass -- would wait for the cycle collector instead of
+being freed on the spot).  Each handler returns the advanced ``now``, or ``-1``
 when the slice ended inside the handler (the thread blocked, yielded,
 finished, or hit the transaction target) -- in that case the handler has
 already done the time accounting and scheduled the follow-up events.
@@ -30,6 +34,8 @@ stream, exactly as in the paper's methodology (section 3.3).
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro.config import SystemConfig
 from repro.isa import (
@@ -153,19 +159,20 @@ class Machine:
         simple = all(type(core) is SimpleCore for core in self.cores)
         if simple and getattr(self, "_simple_handlers", None) is None:
             self._simple_handlers = self._make_simple_handlers()
+        cls = type(self)
         table: list = [None] * N_OPCODES
         if simple:
             table[OP_CPU], table[OP_MEM] = self._simple_handlers
         else:
-            table[OP_CPU] = self._op_cpu
-            table[OP_MEM] = self._op_mem
-        table[OP_LOCK] = self._op_lock
-        table[OP_UNLOCK] = self._op_unlock
-        table[OP_IO] = self._op_io
-        table[OP_BARRIER] = self._op_barrier
-        table[OP_TXN_BEGIN] = self._op_txn_begin
-        table[OP_TXN_END] = self._op_txn_end
-        table[OP_YIELD] = self._op_yield
+            table[OP_CPU] = cls._op_cpu
+            table[OP_MEM] = cls._op_mem
+        table[OP_LOCK] = cls._op_lock
+        table[OP_UNLOCK] = cls._op_unlock
+        table[OP_IO] = cls._op_io
+        table[OP_BARRIER] = cls._op_barrier
+        table[OP_TXN_BEGIN] = cls._op_txn_begin
+        table[OP_TXN_END] = cls._op_txn_end
+        table[OP_YIELD] = cls._op_yield
         self._dispatch = table
 
     # ------------------------------------------------------------------
@@ -205,10 +212,10 @@ class Machine:
     def _wrap_op_handler(handler, callbacks):
         """Wrap one dispatch entry so op callbacks fire per dispatched op."""
 
-        def dispatched(cpu, thread, op, now, start, _handler=handler, _cbs=tuple(callbacks)):
+        def dispatched(machine, cpu, thread, op, now, start, _handler=handler, _cbs=tuple(callbacks)):
             for cb in _cbs:
                 cb(now, cpu, thread.tid, op)
-            return _handler(cpu, thread, op, now, start)
+            return _handler(machine, cpu, thread, op, now, start)
 
         return dispatched
 
@@ -341,7 +348,7 @@ class Machine:
                 i = 0
 
             op = buf[i]
-            now = dispatch[op[0]](cpu, thread, op, now, start)
+            now = dispatch[op[0]](self, cpu, thread, op, now, start)
             if now < 0:
                 return  # the handler ended the slice (block/yield/target)
 
@@ -353,7 +360,7 @@ class Machine:
     # ------------------------------------------------------------------
     # Op handlers (dispatch-table targets)
     #
-    # Signature: (cpu, thread, op, now, start) -> new ``now``, or -1 when
+    # Signature: (machine, cpu, thread, op, now, start) -> new ``now``, or -1 when
     # the handler ended the slice (having accounted cpu_time and
     # scheduled follow-ups itself).  Handlers consume their op by
     # advancing ``thread.op_index`` -- except the lock handler on the
@@ -379,7 +386,7 @@ class Machine:
         cores = self.cores
         per_branch = INSTRUCTIONS_PER_BRANCH
 
-        def op_mem_simple(cpu, thread, op, now, start):
+        def op_mem_simple(_machine, cpu, thread, op, now, start):
             """:meth:`_op_mem` with SimpleCore inlined (full-latency stalls)."""
             if op[2]:
                 now += access(cpu, op[1], True, now)[0]
@@ -388,7 +395,7 @@ class Machine:
             thread.op_index += 1
             return now
 
-        def op_cpu_simple(cpu, thread, op, now, start):
+        def op_cpu_simple(_machine, cpu, thread, op, now, start):
             """:meth:`_op_cpu` with SimpleCore inlined: IPC = 1, blocking
             fetch, and the branch counter advancing exactly as
             ``SimpleCore.instruction_time`` does."""
@@ -514,27 +521,46 @@ class Machine:
         )
 
     # ------------------------------------------------------------------
-    # Cloning (warm-state fan-out)
+    # Cloning (warm-state fan-out) and whole-machine serialisation
     # ------------------------------------------------------------------
-    def freeze(self) -> bytes:
-        """Serialize this machine into a reusable state template.
+    def clone(self) -> "Machine":
+        """An independent machine in this machine's checkpointable state.
 
-        The template is everything except the dispatch table, whose
-        closures are process-local and are rebuilt by :meth:`thaw`.
-        Freezing a quiesced machine once and thawing it per seed is how
-        the fan-out engine replaces N identical checkpoint restores with
-        one restore plus N cheap clones; a thawed machine is
-        behaviourally bit-identical to the frozen one (all simulator
-        state is plain data, and no hot path depends on container
-        identity or set insertion history).
+        What ``Checkpoint.capture(self).materialize(self.config)`` builds,
+        at a fraction of the cost: the memory system -- nearly all of a
+        warm machine's state -- is copied table by table at C speed
+        (:meth:`MemoryHierarchy.copy_state_from`; lines and directory
+        entries are ints, so nothing stays shared), and the small
+        remainder (threads, programs, scheduler, locks, cores, event
+        heap) goes through the same snapshot/restore code a checkpoint
+        uses, against a fresh copy of the workload instance.  Cloning a
+        quiesced pristine machine once per seed is how the fan-out engine
+        and the live sampler start every run from one set of initial
+        conditions.
 
         Probes must be detached first (their callbacks are arbitrary
-        callables; attach them to the thawed copy instead).
+        callables; attach them to the clone instead).
+        """
+        if self.probes is not None:
+            raise ValueError("detach probes before cloning a machine")
+        machine = self._restore_sans_memory(
+            self.config, copy.copy(self.workload), self._snapshot(None)
+        )
+        machine.hierarchy.copy_state_from(self.hierarchy)
+        return machine
 
-        The template also carries the process's memoized transaction
-        streams for this workload (:mod:`repro.workloads.base`): a
-        thawing worker process merges them and starts with the warm-up
-        region's op lists prebuilt instead of regenerating them per seed.
+    def freeze(self) -> bytes:
+        """Serialize this whole machine (a pickle of everything except
+        the dispatch table, whose closures are process-local and are
+        rebuilt by :meth:`thaw`).
+
+        No simulation path calls this: per-seed copies are
+        :meth:`clone`, persistent initial conditions are a
+        :class:`~repro.system.checkpoint.Checkpoint`.  Probes must be
+        detached first.  The bytes also carry the process's memoized
+        transaction streams for this workload
+        (:mod:`repro.workloads.base`), ~0.8 MB on a warm study machine,
+        which :meth:`thaw` re-merges on every call.
         """
         if self.probes is not None:
             raise ValueError("detach probes before freezing a machine")
@@ -575,10 +601,6 @@ class Machine:
         machine._build_dispatch()
         return machine
 
-    def clone(self) -> "Machine":
-        """An independent machine with bit-identical state (freeze + thaw)."""
-        return type(self).thaw(self.freeze())
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -586,6 +608,9 @@ class Machine:
         """Capture the full machine state (paper 3.2.2: registers, memory,
         disks and outstanding interrupts; here: threads, programs, caches,
         locks, scheduler, and in-flight events)."""
+        return self._snapshot(self.hierarchy.snapshot())
+
+    def _snapshot(self, hierarchy_state: dict | None) -> dict:
         return {
             "clock": self.clock.snapshot(),
             "events": self.events.snapshot(),
@@ -595,7 +620,7 @@ class Machine:
                 for tid, thread in self.scheduler.threads.items()
             },
             "locks": self.locks.snapshot(),
-            "hierarchy": self.hierarchy.snapshot(),
+            "hierarchy": hierarchy_state,
             "cores": [core.snapshot() for core in self.cores],
             "workload_clock": self.workload_clock.snapshot(),
             "completed_transactions": self.completed_transactions,
@@ -624,6 +649,26 @@ class Machine:
         coherence directory is rebuilt.  When the processor model differs,
         cores start cold.
         """
+        machine = cls._restore_sans_memory(config, workload, state)
+        # Memory system: exact restore when geometry and protocol match,
+        # else replay contents into the new shape/state space.
+        same_memory_model = state["cache_geometry"] == (
+            config.l1i,
+            config.l1d,
+            config.l2,
+        ) and state.get("coherence_protocol", "mosi") == config.coherence_protocol
+        if same_memory_model:
+            machine.hierarchy.restore_state(state["hierarchy"])
+        else:
+            _replay_caches(machine.hierarchy, state["hierarchy"], config)
+        return machine
+
+    @classmethod
+    def _restore_sans_memory(
+        cls, config: SystemConfig, workload: Workload, state: dict
+    ) -> "Machine":
+        """Everything of :meth:`from_snapshot` but the memory hierarchy,
+        which is left as constructed (cold)."""
         machine = cls(config, workload, build_threads=False)
         machine.clock = SimulationClock.restore(state["clock"])
         machine.events = EventQueue.restore(state["events"])
@@ -658,17 +703,6 @@ class Machine:
         if state["processor_model"] == config.processor.model:
             for core, core_state in zip(machine.cores, state["cores"]):
                 core.restore_state(core_state)
-        # Memory system: exact restore when geometry and protocol match,
-        # else replay contents into the new shape/state space.
-        same_memory_model = state["cache_geometry"] == (
-            config.l1i,
-            config.l1d,
-            config.l2,
-        ) and state.get("coherence_protocol", "mosi") == config.coherence_protocol
-        if same_memory_model:
-            machine.hierarchy.restore_state(state["hierarchy"])
-        else:
-            _replay_caches(machine.hierarchy, state["hierarchy"], config)
         return machine
 
 

@@ -13,7 +13,7 @@ The catalogue (DESIGN.md section 7):
 coherence           SWMR -- at most one Modified/Exclusive copy of a
                     block across L2s, a writable copy never coexists
                     with other readable copies, at most one owner, and
-                    the directory (owner + sharer sets) always matches
+                    the directory (owner + sharer bitmask) always matches
                     the actual L2 states.  Checked per global
                     transaction on the transacted block, and over every
                     resident block at finalize; L1 write permission is
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from repro.isa import OP_LOCK, OP_UNLOCK, SOURCE_NAMES
 from repro.memory.coherence import MOSIState, is_readable
-from repro.memory.hierarchy import L1_READ_WRITE
+from repro.memory.hierarchy import L1_READ_WRITE, sharer_nodes
 from repro.osmodel.thread import ThreadState
 from repro.probes import ProbeBus
 from repro.sim.events import EV_READY
@@ -125,10 +125,10 @@ class CoherenceChecker(_Checker):
                 f"block {block}: directory claims owner {dir_owner} but no "
                 "owner-state copy exists"
             )
-        dir_sharers = hierarchy._sharers.get(block) or set()
-        if readable != dir_sharers:
+        dir_sharers = sharer_nodes(hierarchy._sharers.get(block, 0))
+        if sorted(readable) != dir_sharers:
             self.report(
-                f"block {block}: directory sharers {sorted(dir_sharers)} != "
+                f"block {block}: directory sharers {dir_sharers} != "
                 f"actual {sorted(readable)}"
             )
 

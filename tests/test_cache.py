@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import CacheConfig
-from repro.memory.cache import SetAssociativeCache
+from repro.memory.cache import CacheLine, SetAssociativeCache
 
 
 def tiny_cache(associativity=2, sets=4) -> SetAssociativeCache:
@@ -126,6 +126,44 @@ class TestSnapshot:
         cache.clear()
         assert cache.occupancy() == 0
         assert cache.stats.accesses == 0
+
+
+class TestLinesAreValues:
+    def test_views_are_built_on_demand_and_read_only(self):
+        cache = tiny_cache()
+        cache.insert(5, "M", dirty=True)
+        view = cache.peek(5)
+        assert view == CacheLine(block=5, state="M", dirty=True)
+        assert view is not cache.peek(5)  # nothing is stored but the int
+        with pytest.raises(AttributeError):
+            view.state = "S"
+        assert cache.peek(5).state == "M"
+
+    def test_set_state_keeps_dirty_bit_and_lru_position(self):
+        cache = tiny_cache(associativity=2, sets=1)
+        cache.insert(0, "M", dirty=True)
+        cache.insert(1, "S")
+        cache.set_state(0, "O")
+        assert cache.peek(0) == CacheLine(0, "O", True)
+        assert cache.insert(2, "S").block == 0  # still the LRU line
+        with pytest.raises(KeyError):
+            cache.set_state(99, "S")
+
+    def test_copy_from_shares_nothing(self):
+        cache = tiny_cache(associativity=2, sets=1)
+        cache.insert(0, "S")
+        cache.insert(1, "M", dirty=True)
+        cache.lookup(0)
+        twin = tiny_cache(associativity=2, sets=1)
+        twin.copy_from(cache)
+        assert twin.snapshot() == cache.snapshot()
+        assert twin.stats == cache.stats and twin.stats is not cache.stats
+        twin.set_state(1, "S")
+        twin.evict(0)
+        twin.lookup(7)
+        assert cache.peek(1).state == "M" and cache.peek(0) is not None
+        assert cache.stats.misses == 0
+        assert cache.insert(2, "S").block == 1  # the source's LRU order is its own
 
 
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=300))

@@ -240,6 +240,31 @@ class TestSnapshotRestore:
         assert h2.check_coherence_invariants() == []
 
 
+    def test_external_format_is_names_bools_and_sets(self):
+        """Inside, a line is ``code << 1 | dirty`` and a sharer entry a node
+        bitmask; the snapshot keeps the historical ``(block, state name,
+        dirty bool)`` triples and sharer *sets* (checkpoint digests and
+        stored checkpoints depend on it), also for functional accesses
+        whose write flag is the op stream's int 0/1."""
+        h = hierarchy()
+        block = ADDR // 64
+        h.access(0, ADDR, True, 0)
+        h.access(1, ADDR, False, 100)
+        h.access_functional(2, ADDR + 64, 1, 200)
+        assert h._sharers[block] == 0b11 and h._owner[block] == 0
+        assert all(type(v) is int for c in h.l2 + h.l1d for s in c._sets for v in s.values())
+        state = h.snapshot()
+        assert state["sharers"] == {block: {0, 1}, block + 1: {2}}
+        assert type(state["sharers"][block]) is set
+        (line,) = state["l2"][0]["sets"][block % h.l2[0].n_sets]
+        assert line == (block, "O", True) and type(line[2]) is bool
+        (line,) = state["l1d"][2]["sets"][(block + 1) % h.l1d[2].n_sets]
+        assert line == (block + 1, "RW", True) and type(line[2]) is bool
+        h2 = hierarchy()
+        h2.restore_state(state)
+        assert h2._sharers == h._sharers and h2.snapshot() == state
+
+
 CODE = 0x1000_0000  # instruction region
 
 

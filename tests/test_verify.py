@@ -97,7 +97,7 @@ class TestInjectedBugs:
         if hierarchy.l2[thief].peek(block) is None:
             hierarchy.l2[thief].insert(block, MOSIState.M.value, dirty=True)
         else:
-            hierarchy.l2[thief].peek(block).state = MOSIState.M.value
+            hierarchy.l2[thief].set_state(block, MOSIState.M.value)
         suite = attach_invariants(machine)
         suite.coherence.check_block(block)
         assert any("multiple writable copies" in v for v in suite.violations)
@@ -117,7 +117,7 @@ class TestInjectedBugs:
         machine = self.warm(n_cpus=4)
         hierarchy = machine.hierarchy
         block = next(iter(hierarchy._sharers))
-        hierarchy._sharers[block].add(99)  # phantom sharer
+        hierarchy._sharers[block] |= 1 << 99  # phantom sharer
         suite = attach_invariants(machine)
         assert suite.finalize() != []
 
