@@ -10,9 +10,9 @@ loses only in-flight runs; re-invoking it resumes from the store.
 Two sampling modes per cell:
 
 - **fixed-N** (``spec.stop_rule is None``): exactly ``spec.n_runs``
-  seeds, executed through the same fan-out engine as ``run_space`` --
-  the resulting sample is bit-for-bit identical to a direct
-  ``run_space`` call with the same inputs;
+  seeds -- a cell is the same :class:`~repro.core.fanout.CellSampler`
+  ``run_space`` drives, so the sample is bit-for-bit the one a direct
+  ``run_space`` call with the same inputs returns (and stores);
 - **adaptive** (a :class:`~repro.core.sampling.AdaptiveStopRule`): run
   batches and stop as soon as the confidence interval's half-width
   reaches the target fraction of the mean, or at the run cap.
@@ -20,22 +20,14 @@ Two sampling modes per cell:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
-from repro.campaign.plan import (
-    CampaignPlan,
-    CampaignSpec,
-    cell_request,
-    cell_warm_key,
-    plan_campaign,
-)
+from repro.campaign.plan import CampaignPlan, CampaignSpec, plan_campaign
 from repro.core.confidence import confidence_interval
-from repro.core.fanout import SeedOrder, SharedRunContext, WarmOrder, run_cells
-from repro.core.request import effective_config
+from repro.core.fanout import CellSampler, run_cells
 from repro.core.runner import RunFailure, RunSample, WorkloadSpec
 from repro.store import RunStore
-from repro.system.simulation import SimulationResult
 
 
 @dataclass
@@ -174,78 +166,36 @@ class Campaign:
     def _run_cell(self, label: str, config: SystemConfig, wspec: WorkloadSpec, progress):
         """One cell as a generator of fan-out orders; returns its CellResult.
 
-        Per batch: plan against the store, order the warm-up if this is
-        the first batch with work and the store lacks the checkpoint,
-        order the pending seeds.  Every store access happens here.
+        The cell's :class:`~repro.core.fanout.CellSampler` does the work
+        of each batch; what is left here is which seeds to ask for next
+        (all of them, or what the stop rule wants) and the progress lines.
         """
         spec = self.spec
         rule = spec.stop_rule
-        results: dict[int, SimulationResult] = {}
-        keys: dict[int, str] = {}
-        failures: list[RunFailure] = []
-        cached_hits = 0
-        executed = 0
+        sampler = CellSampler(
+            spec.request(config, wspec), self.store, warm_start=spec.warm_start,
+            config=label, campaign=spec.name,
+        )
+        results = sampler.results
         issued = 0
-        template = cell_request(spec, config, wspec)
-        # One shared context per cell, built when a batch first executes.
-        context: SharedRunContext | None = None
-        warm_error: str | None = None
 
         def say(text: str) -> None:
             if progress is not None:
                 progress(f"[{label} x {wspec.name}] {text}")
 
-        def persist(seed: int, result: SimulationResult) -> None:
-            results[seed] = result
-            self.store.put(
-                keys[seed], result, workload=wspec.name, config=label, campaign=spec.name
-            )
-
         def collect(count: int):
-            nonlocal cached_hits, executed, issued, context, warm_error
+            nonlocal issued
             seeds = [spec.run.seed + issued + i for i in range(count)]
             issued += count
-            keys.update((seed, template.with_seed(seed).run_key) for seed in seeds)
-            found = self.store.get_many([keys[seed] for seed in seeds])
-            pending: list[int] = []
-            for seed in seeds:
-                cached = found.get(keys[seed])
-                if cached is not None:
-                    results[seed] = cached
-                    cached_hits += 1
-                else:
-                    pending.append(seed)
+            done, fails = yield from sampler.collect(seeds)
+            pending = len(done) + len(fails)
             if not pending:
                 say(f"{len(seeds)} runs served from store")
-                return
-            if context is None and warm_error is None:
-                checkpoint = None
-                if spec.warm_start:
-                    warm_key = cell_warm_key(spec, config, wspec)
-                    checkpoint = self.store.get_checkpoint(warm_key)
-                    if checkpoint is None:
-                        # The warm-up executes under the fidelity-effective
-                        # configuration, matching the cell's warm key.
-                        checkpoint = yield WarmOrder(
-                            effective_config(config, spec.fidelity), wspec,
-                            spec.run.warmup_transactions, spec.run.max_time_ns, spec.warmup_mode,
-                        )
-                        if checkpoint is None:
-                            warm_error = "warm-up worker crashed past the retry budget"
-                        else:
-                            self.store.put_checkpoint(warm_key, checkpoint)
-                if warm_error is None:
-                    context = SharedRunContext.from_request(template, checkpoint)
-            if context is None:
-                done, fails = {}, [RunFailure(seed, warm_error, "crash") for seed in pending]
             else:
-                done, fails = yield SeedOrder(context, pending, on_result=persist)
-            executed += len(done)
-            failures.extend(fails)
-            say(
-                f"executed {len(done)}/{len(pending)} "
-                f"({len(seeds) - len(pending)} cached, {len(fails)} failed)"
-            )
+                say(
+                    f"executed {len(done)}/{pending} "
+                    f"({len(seeds) - pending} cached, {len(fails)} failed)"
+                )
 
         if rule is None:
             yield from collect(spec.n_runs)
@@ -276,8 +226,8 @@ class Campaign:
             config_label=label,
             workload=wspec.name,
             sample=sample,
-            cached_hits=cached_hits,
-            executed=executed,
-            failures=failures,
+            cached_hits=sampler.cached_hits,
+            executed=sampler.executed,
+            failures=sampler.failures,
             stop_reason=stop_reason,
         )

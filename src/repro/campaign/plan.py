@@ -10,10 +10,10 @@ interrupt plans the same grid and only executes what is missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import RunConfig, SystemConfig
-from repro.core.request import FIDELITY_FULL, RunRequest, WorkloadSpec
+from repro.core.request import FIDELITY_FULL, RunRequest, WorkloadSpec, check_modes, modes_of
 from repro.core.sampling import AdaptiveStopRule
 from repro.store import RunStore
 
@@ -66,27 +66,7 @@ class CampaignSpec:
             raise ValueError("n_runs must be positive")
         if self.warm_start and self.run.warmup_transactions <= 0:
             raise ValueError("warm_start needs run.warmup_transactions > 0")
-        if self.warmup_mode not in ("timed", "functional"):
-            raise ValueError(f"unknown warm-up mode {self.warmup_mode!r}")
-        from repro.core.request import FIDELITY_TIERS
-
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ValueError(
-                f"unknown fidelity tier {self.fidelity!r} "
-                f"(expected one of {', '.join(FIDELITY_TIERS)})"
-            )
-        from repro.core.request import SAMPLING_MODES
-
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {self.sampling_mode!r} "
-                f"(expected one of {', '.join(SAMPLING_MODES)})"
-            )
-        if self.sampling_mode == "live" and self.fidelity == "ffwd":
-            raise ValueError(
-                "sampling_mode='live' places timed windows; the ffwd tier "
-                "has none (use fidelity='simple' or 'ooo')"
-            )
+        check_modes(**modes_of(self))
 
     def cells(self):
         """The (label, config, workload spec) grid, in declaration order."""
@@ -99,6 +79,22 @@ class CampaignSpec:
         if self.stop_rule is None:
             return self.n_runs
         return self.stop_rule.min_runs
+
+    def request(self, config: SystemConfig, wspec: WorkloadSpec) -> RunRequest:
+        """The protocol of one cell as stated: the spec's run and modes,
+        seeded at ``run.seed``, before the warm-start derivation."""
+        return RunRequest(config=config, workload=wspec, run=self.run, **modes_of(self))
+
+    def grid(self):
+        """Every grid point a cell starts with, resolved to its run key:
+        ``(config index, workload index, label, workload spec, seed, key)``
+        in declaration order.  Planning and service decomposition both
+        enumerate the grid here, so they agree key for key."""
+        for ci, (label, config) in enumerate(self.configs):
+            for wi, wspec in enumerate(self.workloads):
+                template = cell_request(self, config, wspec)
+                for seed in range(self.run.seed, self.run.seed + self.initial_seed_count()):
+                    yield ci, wi, label, wspec, seed, template.with_seed(seed).run_key
 
 
 @dataclass(frozen=True)
@@ -153,95 +149,33 @@ class CampaignPlan:
         return table
 
 
-def cell_execution(spec: CampaignSpec, config: SystemConfig, wspec: WorkloadSpec):
-    """The effective (per-seed run config, checkpoint digest) of a cell.
-
-    For a cold campaign this is simply ``(spec.run, None)``.  For a
-    warm-started campaign each seed measures from the cell's shared warm
-    checkpoint -- so the per-seed run drops its warm-up leg and the key
-    carries ``"warm:" + warm_key(...)``.  Because the warm key is a
-    *cause* key (:func:`repro.store.warm_key`), planning can resolve
-    warm-started run keys without ever running the warm-up.
-
-    This is the single definition both :func:`plan_campaign` and
-    :class:`~repro.campaign.campaign.Campaign` key runs with, which is
-    what keeps ``--dry-run``, execution, and resume in agreement.
-    """
-    if not spec.warm_start:
-        return spec.run, None
-    return replace(spec.run, warmup_transactions=0), f"warm:{cell_warm_key(spec, config, wspec)}"
-
-
-def cell_warm_key(spec: CampaignSpec, config: SystemConfig, wspec: WorkloadSpec) -> str:
-    """The store key of a warm-started cell's shared checkpoint."""
-    # The warm key comes from a request carrying the *original* warm-up
-    # length and the spec's fidelity (the warm-up executes under the
-    # fidelity-effective configuration).
-    warm = RunRequest(
-        config=config, workload=wspec, run=spec.run,
-        warmup_mode=spec.warmup_mode, fidelity=spec.fidelity,
-    )
-    return warm.warm_checkpoint_key()
-
-
-def cell_key_mode(spec: CampaignSpec) -> str:
-    """The ``warmup_mode`` that belongs in a cell's *run* keys.
-
-    A warm-started cell carries the mode in its warm key (the per-seed
-    runs pay no warm-up), and a cell with no warm-up leg at all is
-    mode-independent -- both key as ``"timed"``.  Only a cold cell whose
-    seeds each pay a warm-up folds the mode into its run keys.  Shared by
-    :func:`plan_campaign` and the executor so ``--dry-run``, execution,
-    and resume agree.
-    """
-    if spec.warm_start or spec.run.warmup_transactions <= 0:
-        return "timed"
-    return spec.warmup_mode
-
-
 def cell_request(
     spec: CampaignSpec, config: SystemConfig, wspec: WorkloadSpec
 ) -> RunRequest:
     """The :class:`~repro.core.request.RunRequest` template of one cell.
 
     Seeded at ``spec.run.seed``; stamp out a cell's sample with
-    :meth:`~repro.core.request.RunRequest.with_seed`.  This is the single
-    definition planning, the executor, and the service worker all derive
-    keys and execution from, which is what keeps ``--dry-run``,
-    execution, resume, and served results in agreement.
+    :meth:`~repro.core.request.RunRequest.with_seed`.  The derivation
+    (warm start, key mode) is
+    :meth:`~repro.core.request.RunRequest.seed_template`, the definition
+    planning, the executor, ``run_space`` and the service worker share.
     """
-    cell_run, ckpt_ref = cell_execution(spec, config, wspec)
-    return RunRequest(
-        config=config,
-        workload=wspec,
-        run=cell_run,
-        checkpoint_ref=ckpt_ref,
-        warmup_mode=cell_key_mode(spec),
-        fidelity=spec.fidelity,
-        sampling_mode=spec.sampling_mode,
-    )
+    return spec.request(config, wspec).seed_template(spec.warm_start)
 
 
 def plan_campaign(spec: CampaignSpec, store: RunStore) -> CampaignPlan:
     """Resolve the campaign grid against the store."""
-    runs: list[PlannedRun] = []
-    n_seeds = spec.initial_seed_count()
-    for label, config, wspec in spec.cells():
-        template = cell_request(spec, config, wspec)
-        for i in range(n_seeds):
-            seed = spec.run.seed + i
-            key = template.with_seed(seed).run_key
-            runs.append(
-                PlannedRun(
-                    config_label=label,
-                    workload=wspec.name,
-                    seed=seed,
-                    key=key,
-                    cached=store.contains(key),
-                )
-            )
     return CampaignPlan(
-        runs=runs,
+        runs=[
+            PlannedRun(
+                config_label=label,
+                workload=wspec.name,
+                seed=seed,
+                key=key,
+                cached=store.contains(key),
+            )
+            for _ci, _wi, label, wspec, seed, key in spec.grid()
+        ],
         adaptive_max_runs=(
             spec.stop_rule.max_runs if spec.stop_rule is not None else None
         ),

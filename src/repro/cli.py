@@ -34,9 +34,10 @@ import sys
 
 from repro.config import RunConfig, SystemConfig
 from repro.core.experiment import compare_configurations
+from repro.core.request import MODE_AXES, modes_of
 from repro.core.runner import DEFAULT_WORKLOAD_SEED, run_space
 from repro.system.simulation import run_simulation
-from repro.workloads.registry import PAPER_TRANSACTIONS, available_workloads
+from repro.workloads.registry import PAPER_TRANSACTIONS, available_workloads, make_workload
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -53,8 +54,25 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_mode_arguments(parser: argparse.ArgumentParser, *names: str) -> None:
+    """One flag per run-mode axis (all of them, or just ``names``), straight
+    from the axis declaration in :mod:`repro.core.request`."""
+    for axis in MODE_AXES:
+        if not names or axis.name in names:
+            parser.add_argument(
+                "--" + axis.name.replace("_", "-"),
+                choices=axis.values, default=axis.default, help=axis.help,
+            )
+
+
 def _base_config(args: argparse.Namespace) -> SystemConfig:
     return SystemConfig(n_cpus=args.cpus).with_perturbation(args.perturbation)
+
+
+def _workload(args: argparse.Namespace):
+    """``--workload`` at its ``--scale``: an instance, which is what
+    carries the scale into the runs and their keys."""
+    return make_workload(args.workload, scale=args.scale)
 
 
 def _run_config(args: argparse.Namespace, seed: int | None = None) -> RunConfig:
@@ -134,25 +152,7 @@ def _add_campaign_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help="pay each cell's warm-up once (shared checkpoint, cached in the "
              "store) instead of once per seed",
     )
-    parser.add_argument(
-        "--warmup-mode", choices=("timed", "functional"), default="timed",
-        help="execute warm-up legs timed or functional (fast-forward); "
-             "functional warm-up keys its cells separately",
-    )
-    parser.add_argument(
-        "--fidelity", choices=("ffwd", "simple", "ooo"), default="ooo",
-        help="execution tier for every cell: ooo (full fidelity, default), "
-             "simple (SimpleCore substituted for the configured model), or "
-             "ffwd (functional fast-forward with estimated cycles); "
-             "non-default tiers key their cells separately",
-    )
-    parser.add_argument(
-        "--sampling-mode", choices=("fixed", "live"), default="fixed",
-        help="how each run observes its measured region: fixed (one "
-             "contiguous timed window, default) or live (phase-detecting "
-             "stratified window placement -- an estimate at a fraction of "
-             "the timed cost); live keys its cells separately",
-    )
+    _add_mode_arguments(parser)
     parser.add_argument(
         "--name", default="campaign", help="campaign name recorded in the journal"
     )
@@ -312,15 +312,13 @@ def cmd_space(args: argparse.Namespace) -> int:
         store = RunStore(args.store, backend=args.store_backend)
     sample = run_space(
         _base_config(args),
-        args.workload,
+        _workload(args),
         _run_config(args),
         args.runs,
         n_jobs=args.jobs,
         warm_start=args.warm_start,
         store=store,
-        warmup_mode=args.warmup_mode,
-        fidelity=args.fidelity,
-        sampling_mode=args.sampling_mode,
+        **modes_of(args),
     )
     if args.json:
         print(json.dumps(sample.to_dict(), indent=2))
@@ -340,7 +338,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = compare_configurations(
         _vary(base, args.vary, args.a),
         _vary(base, args.vary, args.b),
-        args.workload,
+        _workload(args),
         _run_config(args),
         args.runs,
         label_a=f"{args.vary}={args.a}",
@@ -382,7 +380,7 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     else:
         configs = [("base", base)]
     workloads = [
-        WorkloadSpec.resolve(name, workload_seed=args.workload_seed)
+        WorkloadSpec(name=name, seed=args.workload_seed, scale=args.scale)
         for name in (args.workloads or [args.workload])
     ]
     stop_rule = None
@@ -402,9 +400,7 @@ def _campaign_spec_from_args(args: argparse.Namespace):
         stop_rule=stop_rule,
         name=args.name,
         warm_start=args.warm_start,
-        warmup_mode=args.warmup_mode,
-        fidelity=args.fidelity,
-        sampling_mode=args.sampling_mode,
+        **modes_of(args),
     )
 
 
@@ -724,10 +720,9 @@ def cmd_budget(args: argparse.Namespace) -> int:
     from repro.core.runner import run_space
     from repro.system.checkpoint import Checkpoint
     from repro.system.machine import Machine
-    from repro.workloads.registry import make_workload
 
     config = _base_config(args)
-    workload = make_workload(args.workload)
+    workload = _workload(args)
     machine = Machine(config, workload)
     machine.hierarchy.seed_perturbation(8)
     machine.run_until_transactions(args.warmup or 1000, max_time_ns=10**13)
@@ -771,12 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel workers (a single run is serial; accepted so sweep "
              "scripts can pass --jobs to every subcommand uniformly)",
     )
-    run_parser.add_argument(
-        "--warmup-mode", choices=("timed", "functional"), default="timed",
-        help="execute the warm-up leg timed (full event loop) or "
-             "functional (fast-forward, ~5x throughput; measurement is "
-             "always timed)",
-    )
+    _add_mode_arguments(run_parser, "warmup_mode")
     run_parser.add_argument(
         "--profile", action="store_true",
         help="run under cProfile and print the top functions by "
@@ -818,24 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the serialized RunSample as JSON for scripting",
     )
-    space_parser.add_argument(
-        "--warmup-mode", choices=("timed", "functional"), default="timed",
-        help="execute warm-up legs (per-seed, or the shared --warm-start "
-             "leg) timed or functional (fast-forward); functional warm-up "
-             "keys its runs separately",
-    )
-    space_parser.add_argument(
-        "--fidelity", choices=("ffwd", "simple", "ooo"), default="ooo",
-        help="execution tier: ooo (full fidelity, default), simple "
-             "(SimpleCore substituted), or ffwd (functional fast-forward "
-             "with estimated cycles); non-default tiers key separately",
-    )
-    space_parser.add_argument(
-        "--sampling-mode", choices=("fixed", "live"), default="fixed",
-        help="fixed (one contiguous timed window, default) or live "
-             "(phase-detecting stratified window placement, "
-             "repro.core.livesample); live keys its runs separately",
-    )
+    _add_mode_arguments(space_parser)
     space_parser.set_defaults(func=cmd_space)
 
     compare_parser = subparsers.add_parser(

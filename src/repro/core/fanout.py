@@ -29,7 +29,12 @@ window alone:
   *orders* work -- its warm-up (:class:`WarmOrder`), then its seeds
   (:class:`SeedOrder`) -- and a finished warm-up *recruits* that cell's
   seed batches, so the next cell warms while this one measures.
-  :func:`execute_shared` is the one-cell case.
+  :func:`execute_shared` is the one-order case;
+- **one sampler, one dispatch**: :class:`CellSampler` is the generator
+  body of every cell -- ``run_space``'s and each campaign cell's alike:
+  resolve keys, serve what the store holds, order the warm-up and the
+  pending seeds, persist each result -- and :func:`_simulate_resident`
+  is the one place a run's modes pick its measurement routine.
 
 Correctness gate: a cloned machine is bit-identical in behaviour to one
 built by the cold path (same restore code for everything but the memory
@@ -66,6 +71,7 @@ from repro.core.request import (
     WorkloadSpec,
     effective_config,
     format_failure,
+    modes_of,
 )
 from repro.core.runner import RunFailure
 from repro.system import checkpoint as checkpoint_mod
@@ -115,9 +121,7 @@ class SharedRunContext:
             spec=request.workload,
             run=request.run,
             checkpoint=checkpoint,
-            warmup_mode=request.warmup_mode,
-            fidelity=request.fidelity,
-            sampling_mode=request.sampling_mode,
+            **modes_of(request),
         )
 
     @property
@@ -133,28 +137,39 @@ class _Resident:
     machine -- its checkpoint materialized, or its workload booted cold
     -- that is never run; every seed (and every live-sampling pass)
     starts from a :meth:`~repro.system.machine.Machine.clone` of it.
+    A resident that serves a ``single_run``
+    (:func:`repro.core.request.execute_request`) has nothing to keep the
+    pristine machine for and hands it to the run itself.
 
     Live-sampled cells also keep their survey here (``survey_memo``):
     the scout pass does not depend on the perturbation seed, so the
     first seed to need it runs it for all of them.
     """
 
-    __slots__ = ("context", "_pristine", "survey_memo")
+    __slots__ = ("context", "single_run", "_pristine", "survey_memo")
 
-    def __init__(self, context: SharedRunContext) -> None:
+    def __init__(self, context: SharedRunContext, single_run: bool = False) -> None:
         self.context = context
+        self.single_run = single_run
         self._pristine: Machine | None = None
         self.survey_memo: dict = {}
+
+    def _open(self) -> Machine:
+        """The context's initial conditions as a machine that has never run."""
+        ctx = self.context
+        if ctx.checkpoint is not None:
+            return ctx.checkpoint.materialize(ctx.effective)
+        return Machine(ctx.effective, ctx.spec.make())
 
     def fresh_machine(self) -> Machine:
         """An independent pristine machine for one seed or pass."""
         if self._pristine is None:
-            ctx = self.context
-            if ctx.checkpoint is not None:
-                self._pristine = ctx.checkpoint.materialize(ctx.effective)
-            else:
-                self._pristine = Machine(ctx.effective, ctx.spec.make())
+            self._pristine = self._open()
         return self._pristine.clone()
+
+    def run_machine(self) -> Machine:
+        """The machine of one whole run."""
+        return self._open() if self.single_run else self.fresh_machine()
 
 
 #: per-worker cache: shipment key -> resident warm state, oldest first.
@@ -189,12 +204,17 @@ def _resident(key: str, blob: bytes) -> _Resident:
 
 
 def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
-    """One measured run from a resident template (the per-seed body)."""
+    """One measured run from a resident template: the one run dispatch.
+
+    The only place that picks a measurement routine from a run's modes;
+    every seed of a fan-out sample and every
+    :func:`repro.core.request.execute_request` call ends here.
+    """
     ctx = resident.context
     if ctx.fidelity == "ffwd":
         from repro.core.fidelity import measure_functional
 
-        return measure_functional(resident.fresh_machine(), ctx.effective, run)
+        return measure_functional(resident.run_machine(), ctx.effective, run)
     if ctx.sampling_mode == "live":
         from repro.core.livesample import measure_live
 
@@ -209,7 +229,7 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
             survey_memo=resident.survey_memo,
         )
     return measure_machine(
-        resident.fresh_machine(),
+        resident.run_machine(),
         ctx.effective,
         run,
         warmup_mode=ctx.warmup_mode,
@@ -587,3 +607,104 @@ def execute_shared(
         [cell()], n_jobs=n_jobs, timeout_s=timeout_s, retries=retries, batch_size=batch_size
     )
     return outcome
+
+
+class CellSampler:
+    """One cell's sample: perturbed runs of one configuration from the
+    same initial conditions (paper sections 3.2.2 and 3.3), a batch of
+    seeds at a time.
+
+    This is the only sample executor: ``run_space`` drives one, a
+    :class:`~repro.campaign.campaign.Campaign` one per grid cell, both
+    through :func:`run_cells`.  ``stated`` is the sample's protocol as
+    asked for; what each seed runs and is keyed by is
+    ``stated.seed_template(warm_start)``.  With a ``store``, stored runs
+    are served instead of executed and each new result is persisted the
+    moment it arrives (``journal`` is recorded beside it), so an
+    interrupted sample resumes where it stopped; every store access of a
+    sample happens here, in the parent.  ``checkpoint`` starts every run
+    from explicit captured state instead.
+    """
+
+    def __init__(
+        self, stated: RunRequest, store=None, *, warm_start: bool = False, checkpoint=None,
+        **journal,
+    ) -> None:
+        if checkpoint is not None:
+            if warm_start:
+                raise ValueError("warm_start and an explicit checkpoint are exclusive")
+            if store is not None:  # a digest is worth computing only for keys
+                stated = replace(stated, checkpoint_ref=checkpoint.digest())
+        self.stated = stated
+        self.template = stated.seed_template(warm_start)
+        self.store = store
+        self.warm_start = warm_start
+        self.checkpoint = checkpoint
+        self.journal = {"workload": stated.workload.name, **journal}
+        self.results: dict[int, SimulationResult] = {}
+        self.failures: list[RunFailure] = []
+        self.cached_hits = 0
+        self.executed = 0
+        self._keys: dict[int, str] = {}
+        # One shared context per cell, built when a batch first executes.
+        self._context: SharedRunContext | None = None
+        self._warm_error: str | None = None
+
+    def collect(self, seeds: list[int]):
+        """Sample ``seeds``: serve what the store holds, order the rest.
+
+        A generator of fan-out orders (a whole cell for :func:`run_cells`,
+        or one batch of a growing one); returns ``(results, failures)``
+        of the seeds that had to execute.  The warm-up is ordered only by
+        the first batch with something pending, and only when the store
+        lacks the checkpoint -- a fully cached sample costs no simulation.
+        """
+        pending = list(seeds)
+        if self.store is not None:
+            for seed in seeds:
+                self._keys[seed] = self.template.with_seed(seed).run_key
+            found = self.store.get_many([self._keys[seed] for seed in seeds])
+            pending = []
+            for seed in seeds:
+                cached = found.get(self._keys[seed])
+                if cached is None:
+                    pending.append(seed)
+                else:
+                    self.results[seed] = cached
+            self.cached_hits += len(seeds) - len(pending)
+        if not pending:
+            return {}, []
+        if self._context is None and self._warm_error is None:
+            checkpoint = (yield from self._warm()) if self.warm_start else self.checkpoint
+            if self._warm_error is None:
+                self._context = SharedRunContext.from_request(self.template, checkpoint)
+        if self._context is None:
+            done, fails = {}, [RunFailure(seed, self._warm_error, "crash") for seed in pending]
+        else:
+            done, fails = yield SeedOrder(self._context, pending, on_result=self._persist)
+        self.executed += len(done)
+        self.failures.extend(fails)
+        return done, fails
+
+    def _warm(self):
+        """The sample's shared warm checkpoint: the store's, else ordered
+        (under the fidelity-effective configuration, matching the warm
+        key) and then stored."""
+        stated, store = self.stated, self.store
+        warm_key = stated.warm_checkpoint_key()
+        checkpoint = store.get_checkpoint(warm_key) if store is not None else None
+        if checkpoint is None:
+            checkpoint = yield WarmOrder(
+                stated.effective_config, stated.workload,
+                stated.run.warmup_transactions, stated.run.max_time_ns, stated.warmup_mode,
+            )
+            if checkpoint is None:
+                self._warm_error = "warm-up worker crashed past the retry budget"
+            elif store is not None:
+                store.put_checkpoint(warm_key, checkpoint)
+        return checkpoint
+
+    def _persist(self, seed: int, result: SimulationResult) -> None:
+        self.results[seed] = result
+        if self.store is not None:
+            self.store.put(self._keys[seed], result, **self.journal)

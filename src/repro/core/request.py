@@ -18,9 +18,15 @@ picklable, JSON-round-trippable value:
   identical -- locked by a hypothesis property test);
 - **execution**: :func:`execute_request` turns a request (plus, for
   checkpoint-started runs, the materialized checkpoint) into a
-  :class:`~repro.system.simulation.SimulationResult` -- the single
-  worker body behind ``run_space``, the fan-out engine, and the
-  campaign service;
+  :class:`~repro.system.simulation.SimulationResult` through the one
+  run dispatch every seed of a sample also goes through
+  (:func:`repro.core.fanout._simulate_resident`);
+  :meth:`RunRequest.seed_template` is the one derivation of what a
+  sample's seeds run from the protocol a caller states;
+- **modes**: :data:`MODE_AXES` declares each run-mode axis once --
+  legal values, default, and (:func:`check_modes`) the one illegal
+  combination -- and the key fold, the wire decode and the CLI flags
+  are derived from it;
 - **fidelity**: the :attr:`RunRequest.fidelity` tier selects how much
   simulation the run pays -- ``"ooo"`` (full fidelity: the
   configuration's own core model, historically the OOO core),
@@ -51,28 +57,109 @@ from repro.workloads.base import Workload
 #: sample the same stream.
 DEFAULT_WORKLOAD_SEED = 12345
 
+
+@dataclass(frozen=True)
+class ModeAxis:
+    """One run-mode axis: its field name, legal values, default and meaning.
+
+    ``name`` is the axis's spelling everywhere it appears -- the
+    ``RunRequest``/``CampaignSpec`` field, the ``run_space`` keyword, the
+    store-key payload entry, the wire field, and (dashed) the CLI flag;
+    ``help`` is the CLI's description of it.
+    """
+
+    name: str
+    values: tuple
+    default: str
+    help: str
+
+
+#: every run-mode axis, declared once.  Store keys, the wire format, the
+#: validators and the CLI flags are all derived from this table, so a new
+#: value of an axis is one entry here plus the module that executes it.
+MODE_AXES = (
+    ModeAxis(
+        "warmup_mode",
+        ("timed", "functional"),
+        "timed",
+        "how warm-up legs (per-seed, or the shared --warm-start leg) execute: "
+        "timed (full event loop, default) or functional (fast-forward, "
+        "repro.core.ffwd; measurement is always timed); functional warm-up "
+        "keys its runs separately",
+    ),
+    ModeAxis(
+        "fidelity",
+        ("ffwd", "simple", "ooo"),  # cheapest first, see repro.core.fidelity
+        "ooo",
+        "execution tier: ooo (full fidelity -- the configuration's own core "
+        "model -- default), simple (SimpleCore substituted for the configured "
+        "model), or ffwd (functional fast-forward with estimated cycles); "
+        "non-default tiers key their runs separately",
+    ),
+    ModeAxis(
+        "sampling_mode",
+        ("fixed", "live"),
+        "fixed",
+        "how each run observes its measured region: fixed (one contiguous "
+        "timed window, default) or live (phase-detecting stratified window "
+        "placement, repro.core.livesample -- an estimate at a fraction of "
+        "the timed cost); live keys its runs separately",
+    ),
+)
+
 #: the three fidelity tiers, cheapest first (see repro.core.fidelity)
-FIDELITY_TIERS = ("ffwd", "simple", "ooo")
+FIDELITY_TIERS = MODE_AXES[1].values
 
 #: full fidelity: execute the configuration exactly as given (its own
 #: core model -- for the paper's studies, the OOO core).  This is the
 #: default, and the only tier that folds to nothing in store keys.
-FIDELITY_FULL = "ooo"
+FIDELITY_FULL = MODE_AXES[1].default
 
-#: warm-up execution modes (see repro.core.ffwd)
-WARMUP_MODES = ("timed", "functional")
 
-#: measurement sampling modes (see repro.core.livesample): "fixed" times
-#: the whole measured region as one contiguous window (the historical
-#: behaviour, and the only mode that folds to nothing in store keys);
-#: "live" surveys the region functionally, detects phases online from
-#: probe-bus signatures, and spends a timed-window budget across phase
-#: strata -- an *estimate* of the same region at a fraction of the
-#: timed work.
-SAMPLING_MODES = ("fixed", "live")
+def modes_of(obj) -> dict:
+    """The mode fields of ``obj`` (a request, a campaign spec, a shared
+    context, parsed CLI arguments) as ``{axis name: value}``."""
+    return {axis.name: getattr(obj, axis.name) for axis in MODE_AXES}
 
-#: the default sampling mode: exhaustive contiguous timing.
-SAMPLING_FIXED = "fixed"
+
+def check_modes(**modes) -> None:
+    """The one validator of mode values; an axis not given is at its default.
+
+    Raises ``ValueError`` naming the offending field -- the message is
+    safe to show a service client -- for a value outside an axis's
+    declaration and for the one illegal combination: live sampling
+    places *timed* windows, and the ffwd tier has no timed execution.
+    """
+    for axis in MODE_AXES:
+        value = modes.get(axis.name, axis.default)
+        if value not in axis.values:
+            raise ValueError(
+                f"unknown {axis.name} {value!r}: expected one of {', '.join(axis.values)}"
+            )
+    if modes.get("sampling_mode") == "live" and modes.get("fidelity") == "ffwd":
+        raise ValueError(
+            "sampling_mode='live' places timed measurement windows, but "
+            "the ffwd fidelity tier has no timed execution; use "
+            "fidelity='simple' or 'ooo' with live sampling"
+        )
+
+
+def fold_modes(**modes) -> dict:
+    """The entries ``modes`` contribute to a key payload or a wire form:
+    the non-default ones only.  This is the key-stability rule -- every
+    key and request serialized before an axis existed is byte-identical
+    to its default-valued spelling today."""
+    return {
+        axis.name: modes[axis.name]
+        for axis in MODE_AXES
+        if modes.get(axis.name, axis.default) != axis.default
+    }
+
+
+def decode_modes(data) -> dict:
+    """Every axis's value in a plain-data form, absent fields at their
+    defaults (the inverse of :func:`fold_modes`; not validated)."""
+    return {axis.name: data.get(axis.name, axis.default) for axis in MODE_AXES}
 
 
 @dataclass(frozen=True)
@@ -172,8 +259,7 @@ def effective_config(config: SystemConfig, fidelity: str) -> SystemConfig:
     a simple-tier run a *model substitution* of the same design point
     rather than a different design point.
     """
-    if fidelity not in FIDELITY_TIERS:
-        raise ValueError(f"unknown fidelity tier {fidelity!r}")
+    check_modes(fidelity=fidelity)
     if fidelity != "simple" or config.processor.model == "simple":
         return config
     return replace(config, processor=replace(config.processor, model="simple"))
@@ -200,27 +286,10 @@ class RunRequest:
     checkpoint_ref: str | None = None
     warmup_mode: str = "timed"
     fidelity: str = FIDELITY_FULL
-    sampling_mode: str = SAMPLING_FIXED
+    sampling_mode: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.warmup_mode not in WARMUP_MODES:
-            raise ValueError(f"unknown warm-up mode {self.warmup_mode!r}")
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ValueError(
-                f"unknown fidelity tier {self.fidelity!r} "
-                f"(expected one of {', '.join(FIDELITY_TIERS)})"
-            )
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {self.sampling_mode!r} "
-                f"(expected one of {', '.join(SAMPLING_MODES)})"
-            )
-        if self.sampling_mode == "live" and self.fidelity == "ffwd":
-            raise ValueError(
-                "sampling_mode='live' places timed measurement windows, but "
-                "the ffwd fidelity tier has no timed execution; use "
-                "fidelity='simple' or 'ooo' with live sampling"
-            )
+        check_modes(**modes_of(self))
 
     # ------------------------------------------------------------------
     # Derivation helpers
@@ -237,6 +306,38 @@ class RunRequest:
     def effective_config(self) -> SystemConfig:
         """The configuration this run actually simulates (fidelity applied)."""
         return effective_config(self.config, self.fidelity)
+
+    def seed_template(self, warm_start: bool = False) -> "RunRequest":
+        """The request each seed of a sample runs and is keyed by.
+
+        ``self`` states the sample's protocol as asked for: the full
+        warm-up length and the warm-up mode.  What one seed executes
+        follows from it, and this is the only place that says how:
+
+        - ``warm_start`` (the paper's warm-then-checkpoint protocol,
+          section 3.2.2): the warm-up is paid once per sample under a
+          fixed perturbation stream, so the seed drops its warm-up leg
+          and starts from ``"warm:" + warm_checkpoint_key()`` -- a
+          *cause* key, which is what lets planning key warm-started runs
+          before the checkpoint exists;
+        - the warm-up mode is part of a run's own key only when the run
+          itself pays a warm-up leg: a warm-started sample carries it in
+          the warm key, and a sample with no warm-up leg at all is
+          mode-independent.
+
+        ``run_space``, campaign planning and execution, and the service
+        all derive keys and execution from this template (stamp out the
+        members with :meth:`with_seed`), which keeps ``--dry-run``,
+        execution, resume and served results in agreement.
+        """
+        run, ref = self.run, self.checkpoint_ref
+        if warm_start:
+            if run.warmup_transactions <= 0:
+                raise ValueError("warm_start needs run.warmup_transactions > 0")
+            run = replace(run, warmup_transactions=0)
+            ref = f"warm:{self.warm_checkpoint_key()}"
+        key_mode = self.warmup_mode if run.warmup_transactions > 0 else "timed"
+        return replace(self, run=run, checkpoint_ref=ref, warmup_mode=key_mode)
 
     # ------------------------------------------------------------------
     # Identity
@@ -262,9 +363,7 @@ class RunRequest:
             self.workload.scale,
             self.workload.params_dict,
             checkpoint_digest=self.checkpoint_ref,
-            warmup_mode=self.warmup_mode,
-            fidelity=self.fidelity,
-            sampling_mode=self.sampling_mode,
+            **modes_of(self),
         )
 
     def warm_checkpoint_key(self) -> str:
@@ -298,23 +397,17 @@ class RunRequest:
     def to_dict(self) -> dict:
         """Plain-data (JSON-serializable) form of this request.
 
-        Default-valued ``warmup_mode``/``fidelity`` are folded out, so
-        the wire form obeys the same stability rule as store keys: old
+        Default-valued modes are folded out (:func:`fold_modes`), so the
+        wire form obeys the same stability rule as store keys: old
         readers see exactly the fields they know.
         """
-        data = {
+        return {
             "config": self.config.to_dict(),
             "workload": self.workload.to_dict(),
             "run": self.run.to_dict(),
             "checkpoint_ref": self.checkpoint_ref,
+            **fold_modes(**modes_of(self)),
         }
-        if self.warmup_mode != "timed":
-            data["warmup_mode"] = self.warmup_mode
-        if self.fidelity != FIDELITY_FULL:
-            data["fidelity"] = self.fidelity
-        if self.sampling_mode != SAMPLING_FIXED:
-            data["sampling_mode"] = self.sampling_mode
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRequest":
@@ -324,19 +417,20 @@ class RunRequest:
             workload=WorkloadSpec.from_dict(data["workload"]),
             run=RunConfig.from_dict(data["run"]),
             checkpoint_ref=data.get("checkpoint_ref"),
-            warmup_mode=data.get("warmup_mode", "timed"),
-            fidelity=data.get("fidelity", FIDELITY_FULL),
-            sampling_mode=data.get("sampling_mode", SAMPLING_FIXED),
+            **decode_modes(data),
         )
 
 
 def execute_request(request: RunRequest, checkpoint=None):
     """Execute one run request and return its ``SimulationResult``.
 
-    This is the single worker body every execution path funnels into:
-    ``run_space``'s sequential leg, the fan-out engine's resident
-    measurement, and the campaign service worker all produce
-    bit-identical results because they all end here.
+    The single-run entry of the one run dispatch
+    (:func:`repro.core.fanout._simulate_resident`): a campaign service
+    worker's cell, or any caller holding one request, runs exactly what
+    a seed of a fan-out sample runs, so served, pooled and in-process
+    results are bit-identical.  The initial conditions are opened for
+    this run alone -- no resident copy is kept, so a fixed-mode run pays
+    no clone.
 
     ``checkpoint`` is the materialized
     :class:`~repro.system.checkpoint.Checkpoint` when
@@ -344,45 +438,15 @@ def execute_request(request: RunRequest, checkpoint=None):
     the ref (identity), so callers that resolved the checkpoint -- from
     the store, or by warming up -- pass the state alongside.
     """
-    from repro.system.simulation import run_simulation
+    from repro.core.fanout import SharedRunContext, _Resident, _simulate_resident
 
     if request.checkpoint_ref is not None and checkpoint is None:
         raise ValueError(
             f"request names checkpoint {request.checkpoint_ref[:16]}... but no "
             "materialized checkpoint was supplied"
         )
-    config = request.effective_config
-    workload = request.workload.make()
-    if request.fidelity == "ffwd" or request.sampling_mode == "live":
-        if checkpoint is not None:
-            machine = checkpoint.materialize(config, workload=workload)
-        else:
-            from repro.system.machine import Machine
-
-            machine = Machine(config, workload)
-        if request.fidelity == "ffwd":
-            from repro.core.fidelity import measure_functional
-
-            return measure_functional(machine, config, request.run)
-        from repro.core.livesample import measure_live
-
-        # Live sampling runs several passes (functional scout, pilot
-        # windows, allocated windows), each from identical initial
-        # conditions: the machine built above is never run, every pass
-        # starts from a clone of it.
-        return measure_live(
-            machine.clone,
-            config,
-            request.run,
-            warmup_mode=request.warmup_mode,
-        )
-    return run_simulation(
-        config,
-        workload,
-        request.run,
-        checkpoint=checkpoint,
-        warmup_mode=request.warmup_mode,
-    )
+    context = SharedRunContext.from_request(request, checkpoint)
+    return _simulate_resident(_Resident(context, single_run=True), request.run)
 
 
 def format_failure(exc: BaseException, *, frames: int = 3) -> str:

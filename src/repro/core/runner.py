@@ -12,11 +12,16 @@ available"; ``n_jobs`` fans the sample out across worker processes via
 :mod:`repro.core.fanout` -- shared state ships to each worker once, each
 seed's machine is cloned from a worker-resident template -- with results
 returned in seed order regardless of completion order (determinism is
-preserved: the fan-out is bit-identical to sequential execution).
+preserved: the fan-out is bit-identical to in-process execution).
 
-Two robustness layers sit on top:
+``run_space`` is the one-cell campaign: it states the sample's protocol
+as a :class:`~repro.core.request.RunRequest` and drives one
+:class:`~repro.core.fanout.CellSampler` through
+:func:`~repro.core.fanout.run_cells`, which is exactly what a
+:class:`~repro.campaign.campaign.Campaign` does per grid cell.  Two
+robustness layers come with that:
 
-- jobs are submitted individually with worker-side error capture, so a
+- runs execute individually with worker-side error capture, so a
   failing run reports *which seed* failed (:class:`RunSpaceError`) while
   the rest of the sample completes;
 - with ``store=`` (a :class:`repro.store.RunStore`), completed runs are
@@ -26,7 +31,7 @@ Two robustness layers sit on top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import RunConfig, SystemConfig
 from repro.core.metrics import VariabilitySummary, summarize
@@ -35,9 +40,6 @@ from repro.core.request import (
     FIDELITY_FULL,
     RunRequest,
     WorkloadSpec,
-    effective_config,
-    execute_request,
-    format_failure,
 )
 from repro.system.simulation import SimulationResult
 from repro.workloads.base import Workload
@@ -135,38 +137,6 @@ class RunSample:
         )
 
 
-def _one_run(job) -> SimulationResult:
-    """Worker body (module-level so tests can intercept every execution).
-
-    ``job`` is a :class:`RunRequest` or a ``(RunRequest, checkpoint |
-    None)`` pair; anything else is a caller bug and raises ``TypeError``.
-    """
-    if isinstance(job, RunRequest):
-        return execute_request(job)
-    if isinstance(job, tuple) and len(job) == 2 and isinstance(job[0], RunRequest):
-        return execute_request(*job)
-    raise TypeError(
-        "job must be a RunRequest or a (RunRequest, checkpoint) pair, "
-        f"got {type(job).__name__}"
-    )
-
-
-def _one_run_captured(job) -> tuple:
-    """Worker body with in-worker error capture.
-
-    Returns ``("ok", result)`` or ``("error", message)`` so an exception
-    in one run is attributed to its seed instead of surfacing as an
-    opaque pool failure (a hard worker crash still breaks the pool; the
-    caller maps that onto the affected seeds).  The message carries the
-    innermost traceback frames (:func:`repro.core.request.format_failure`)
-    so a campaign failure report names where the run died, not just the
-    exception type."""
-    try:
-        return ("ok", _one_run(job))
-    except Exception as exc:  # noqa: BLE001 -- report, don't kill the sample
-        return ("error", format_failure(exc))
-
-
 def run_space(
     config: SystemConfig,
     workload: Workload | str,
@@ -213,15 +183,16 @@ def run_space(
     space.  Requires ``run.warmup_transactions > 0`` and no explicit
     ``checkpoint``.
 
-    ``n_jobs > 1`` fans the pending seeds out across worker processes
-    through :mod:`repro.core.fanout`: shared state (configuration,
-    workload spec, checkpoint) ships to each worker once via the pool
-    initializer, the machine template is restored once per worker, and
-    each seed's machine is cloned from it -- so per-seed marginal cost
-    approaches the measurement window alone.  Results are bit-for-bit
-    identical to the sequential path.  ``batch_size`` overrides the
-    seeds-per-submission chunking (default: about three batches per
-    worker).
+    Whatever ``n_jobs``, the initial conditions (the checkpoint, or a
+    cold boot) are opened once into a pristine machine and each seed's
+    machine is cloned from it, so per-seed marginal cost approaches the
+    measurement window alone.  ``n_jobs > 1`` fans the pending seeds --
+    and the ``warm_start`` warm-up, as a pool task -- out across worker
+    processes through :mod:`repro.core.fanout`: shared state
+    (configuration, workload spec, checkpoint) ships to each worker once
+    per sample.  Results are bit-for-bit identical either way.
+    ``batch_size`` overrides the seeds-per-submission chunking (default:
+    about three batches per worker).
 
     ``warmup_mode="functional"`` executes whatever warm-up leg this
     sample pays -- the shared ``warm_start`` leg, or each seed's cold
@@ -246,12 +217,11 @@ def run_space(
     timed cost.  The non-default mode folds into run keys, so
     estimated results never alias exhaustively-timed ones.
     """
+    from repro.core.fanout import CellSampler, run_cells
+    from repro.store import resolve_store
+
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
-    if store is not None:
-        from repro.store import resolve_store
-
-        store = resolve_store(store)
     spec = WorkloadSpec.resolve(
         workload, workload_seed=workload_seed, workload_params=workload_params
     )
@@ -260,9 +230,7 @@ def run_space(
     if len(seeds) != n_runs:
         raise ValueError(f"need {n_runs} seeds, got {len(seeds)}")
 
-    # Validates warmup_mode/fidelity up front; also the source of the
-    # shared warm key (which carries the *original* warm-up length).
-    template = RunRequest(
+    stated = RunRequest(
         config=config,
         workload=spec,
         run=run,
@@ -270,101 +238,14 @@ def run_space(
         fidelity=fidelity,
         sampling_mode=sampling_mode,
     )
-
-    warm_ckpt_key: str | None = None
-    warmup_transactions = run.warmup_transactions
-    if warm_start:
-        if checkpoint is not None:
-            raise ValueError("warm_start and an explicit checkpoint are exclusive")
-        if warmup_transactions <= 0:
-            raise ValueError("warm_start needs run.warmup_transactions > 0")
-        warm_ckpt_key = template.warm_checkpoint_key()
-        # Seeds measure from the shared warm state: no per-run warm-up.
-        run = replace(run, warmup_transactions=0)
-
-    if warm_ckpt_key is not None:
-        ckpt_ref = f"warm:{warm_ckpt_key}"
-    elif checkpoint is not None and store is not None:
-        ckpt_ref = checkpoint.digest()
-    else:
-        ckpt_ref = None
-
-    # The mode is part of a run's own key only when the run itself pays a
-    # warm-up leg; a warm-started sample carries it in the warm key.
-    key_mode = warmup_mode if run.warmup_transactions > 0 else "timed"
-    template = RunRequest(
-        config=config,
-        workload=spec,
-        run=run,
-        checkpoint_ref=ckpt_ref,
-        warmup_mode=key_mode,
-        fidelity=fidelity,
-        sampling_mode=sampling_mode,
+    sampler = CellSampler(
+        stated, resolve_store(store), warm_start=warm_start, checkpoint=checkpoint
     )
-
-    keys: dict[int, str] = {}
-    results: dict[int, SimulationResult] = {}
-    pending: list[int] = []
-    if store is not None:
-        for seed in seeds:
-            keys[seed] = template.with_seed(seed).run_key
-        found = store.get_many([keys[seed] for seed in seeds])
-        for seed in seeds:
-            cached = found.get(keys[seed])
-            if cached is not None:
-                results[seed] = cached
-            else:
-                pending.append(seed)
-    else:
-        pending = list(seeds)
-
-    if pending and warm_start:
-        # Build (or fetch from the store) the shared warm state only when
-        # something actually needs to run -- a fully cached sample costs
-        # zero simulation.  The warm-up executes under the
-        # fidelity-effective configuration, matching the warm key.
-        from repro.system.checkpoint import warm_checkpoint
-
-        checkpoint = warm_checkpoint(
-            effective_config(config, fidelity),
-            spec.make(),
-            warmup_transactions=warmup_transactions,
-            max_time_ns=run.max_time_ns,
-            store=store,
-            mode=warmup_mode,
-        )
-
-    def record(seed: int, result: SimulationResult) -> None:
-        results[seed] = result
-        if store is not None:
-            store.put(keys[seed], result, workload=spec.name)
-
-    failures: list[RunFailure] = []
-    if pending:
-        if n_jobs > 1:
-            from repro.core.fanout import SharedRunContext, execute_shared
-
-            _done, failures = execute_shared(
-                SharedRunContext.from_request(template, checkpoint),
-                pending,
-                n_jobs=n_jobs,
-                retries=0,
-                batch_size=batch_size,
-                on_result=record,
-            )
-        else:
-            for seed in pending:
-                status, payload = _one_run_captured(
-                    (template.with_seed(seed), checkpoint)
-                )
-                if status == "ok":
-                    record(seed, payload)
-                else:
-                    failures.append(RunFailure(seed=seed, error=payload))
-    if failures:
-        raise RunSpaceError(failures, completed=len(results), total=n_runs)
+    run_cells([sampler.collect(seeds)], n_jobs=n_jobs, retries=0, batch_size=batch_size)
+    if sampler.failures:
+        raise RunSpaceError(sampler.failures, completed=len(sampler.results), total=n_runs)
     return RunSample(
         config=config,
         workload_name=spec.name,
-        results=[results[seed] for seed in seeds],
+        results=[sampler.results[seed] for seed in seeds],
     )

@@ -15,8 +15,8 @@ package shards those grids across processes and hosts:
   crash), and quarantined after too many failed attempts;
 - :mod:`repro.service.worker` -- the worker daemon
   (``python -m repro campaign worker``): pull a lease, execute the cell
-  through the same warm-state/fast-forward path in-process campaigns
-  use, heartbeat while running, publish the result through the store;
+  through the same run dispatch in-process campaigns use, heartbeat
+  while running, publish the result through the store;
 - :mod:`repro.service.server` -- the HTTP front door
   (``python -m repro campaign serve``, stdlib ``ThreadingHTTPServer``):
   accepts study submissions as JSON, deduplicates submitted cells
@@ -29,8 +29,10 @@ Correctness contract: a campaign executed via server + workers yields
 per-run payloads byte-identical to the same spec run through the
 in-process :class:`~repro.campaign.campaign.Campaign` -- the service
 changes *where* cells run, never *what* a run means.  That holds because
-workers execute through the very same job constructor
-(:func:`repro.core.request.execute_request`) and warm-checkpoint cache
+a worker derives its cell from the same template
+(:meth:`repro.core.request.RunRequest.seed_template`), runs it through
+the same dispatch (:func:`repro.core.request.execute_request`) from the
+same cause-keyed warm checkpoint
 (:func:`repro.system.checkpoint.warm_checkpoint`) as the in-process
 path, and results are keyed by the same content addresses.
 """

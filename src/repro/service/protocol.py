@@ -11,13 +11,12 @@ makes a served campaign's cache entries interchangeable with an
 in-process campaign's: plan, serve, execute, and resume all agree on
 what each grid point *is*.
 
-Version 2 of the wire format added the ``fidelity`` tier
-(:mod:`repro.core.request`); version 3 adds the ``sampling_mode``
-(:mod:`repro.core.livesample`).  Older submissions are still accepted
-on read and decode to the defaults (full fidelity, fixed sampling).
-Mode strings are validated *at submit time* (:func:`validate_modes`)
-so a typo fails the submission with one clear error instead of failing
-N cells into quarantine worker by worker.
+The wire format is version 3 and only version 3 (the ``fidelity`` and
+``sampling_mode`` fields, :mod:`repro.core.request`); any other version
+is refused.  Mode values are validated *at submit time* by the one
+validator (:func:`repro.core.request.check_modes`), so a typo fails the
+submission with one clear error instead of failing N cells into
+quarantine worker by worker.
 
 Only fixed-N specs are serializable for now: an adaptive stop rule
 grows cells from results sequentially, which contradicts decomposing
@@ -29,65 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.campaign.plan import CampaignSpec, cell_request
-from repro.core.request import (
-    FIDELITY_FULL,
-    FIDELITY_TIERS,
-    SAMPLING_FIXED,
-    SAMPLING_MODES,
-    WARMUP_MODES,
-    WorkloadSpec,
-)
-from repro.store.serialize import (
-    run_config_from_dict,
-    run_config_to_dict,
-    system_config_from_dict,
-    system_config_to_dict,
-)
+from repro.campaign.plan import CampaignSpec
+from repro.config import RunConfig, SystemConfig
+from repro.core.request import WorkloadSpec, check_modes, decode_modes, modes_of
 
 #: bump on incompatible changes to the submission wire format
 PROTOCOL_VERSION = 3
-
-#: versions this service still decodes (v1: no fidelity field;
-#: v2: no sampling_mode field)
-ACCEPTED_VERSIONS = (1, 2, 3)
 
 
 class ServiceError(ValueError):
     """A request the campaign service cannot honour (bad spec, unknown
     campaign, protocol mismatch); the message is safe to show a client."""
-
-
-def validate_modes(
-    warmup_mode: str, fidelity: str, sampling_mode: str = SAMPLING_FIXED
-) -> None:
-    """Reject unknown mode strings with a client-safe explanation.
-
-    Called on both the submit and decode paths: a misspelled
-    ``warmup_mode``/``fidelity``/``sampling_mode`` must bounce the
-    submission immediately, not surface later as N per-cell worker
-    failures marching the cells into quarantine.
-    """
-    if warmup_mode not in WARMUP_MODES:
-        raise ServiceError(
-            f"unknown warmup_mode {warmup_mode!r}: expected one of "
-            f"{', '.join(WARMUP_MODES)}"
-        )
-    if fidelity not in FIDELITY_TIERS:
-        raise ServiceError(
-            f"unknown fidelity {fidelity!r}: expected one of "
-            f"{', '.join(FIDELITY_TIERS)}"
-        )
-    if sampling_mode not in SAMPLING_MODES:
-        raise ServiceError(
-            f"unknown sampling_mode {sampling_mode!r}: expected one of "
-            f"{', '.join(SAMPLING_MODES)}"
-        )
-    if sampling_mode == "live" and fidelity == "ffwd":
-        raise ServiceError(
-            "sampling_mode='live' places timed windows; the ffwd fidelity "
-            "tier has none (use fidelity='simple' or 'ooo')"
-        )
 
 
 def spec_to_dict(spec: CampaignSpec) -> dict:
@@ -102,69 +53,41 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
     return {
         "version": PROTOCOL_VERSION,
         "name": spec.name,
-        "configs": [
-            [label, system_config_to_dict(config)] for label, config in spec.configs
-        ],
-        "workloads": [
-            {
-                "name": wspec.name,
-                "seed": wspec.seed,
-                "scale": wspec.scale,
-                "params": wspec.params_dict,
-            }
-            for wspec in spec.workloads
-        ],
-        "run": run_config_to_dict(spec.run),
+        "configs": [[label, config.to_dict()] for label, config in spec.configs],
+        "workloads": [wspec.to_dict() for wspec in spec.workloads],
+        "run": spec.run.to_dict(),
         "n_runs": spec.n_runs,
         "warm_start": spec.warm_start,
-        "warmup_mode": spec.warmup_mode,
-        "fidelity": spec.fidelity,
-        "sampling_mode": spec.sampling_mode,
+        **modes_of(spec),
     }
 
 
 def spec_from_dict(data: dict) -> CampaignSpec:
     """Rebuild a campaign spec from its wire form (inverse of
-    :func:`spec_to_dict`).  Accepts every version in
-    :data:`ACCEPTED_VERSIONS`; a v1 spec has no ``fidelity`` field and
-    decodes to full fidelity."""
-    try:
-        version = data.get("version", PROTOCOL_VERSION)
-        if version not in ACCEPTED_VERSIONS:
-            raise ServiceError(
-                f"unsupported submission version {version} "
-                f"(this service speaks {PROTOCOL_VERSION} and still reads "
-                f"{', '.join(str(v) for v in ACCEPTED_VERSIONS[:-1])})"
-            )
-        validate_modes(
-            data.get("warmup_mode", "timed"),
-            data.get("fidelity", FIDELITY_FULL),
-            data.get("sampling_mode", SAMPLING_FIXED),
+    :func:`spec_to_dict`)."""
+    version = data.get("version", PROTOCOL_VERSION)
+    if version != PROTOCOL_VERSION:
+        raise ServiceError(
+            f"unsupported submission version {version} "
+            f"(this service speaks {PROTOCOL_VERSION})"
         )
+    modes = decode_modes(data)
+    try:
+        check_modes(**modes)
+    except ValueError as exc:
+        raise ServiceError(str(exc)) from exc
+    try:
         return CampaignSpec(
             configs=[
-                (label, system_config_from_dict(config))
-                for label, config in data["configs"]
+                (label, SystemConfig.from_dict(config)) for label, config in data["configs"]
             ],
-            workloads=[
-                WorkloadSpec(
-                    name=w["name"],
-                    seed=w["seed"],
-                    scale=w["scale"],
-                    params=tuple(sorted(dict(w.get("params") or {}).items())),
-                )
-                for w in data["workloads"]
-            ],
-            run=run_config_from_dict(data["run"]),
+            workloads=[WorkloadSpec.from_dict(w) for w in data["workloads"]],
+            run=RunConfig.from_dict(data["run"]),
             n_runs=data["n_runs"],
             name=data.get("name", "campaign"),
             warm_start=data.get("warm_start", False),
-            warmup_mode=data.get("warmup_mode", "timed"),
-            fidelity=data.get("fidelity", FIDELITY_FULL),
-            sampling_mode=data.get("sampling_mode", SAMPLING_FIXED),
+            **modes,
         )
-    except ServiceError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed campaign spec: {exc}") from exc
 
@@ -192,10 +115,10 @@ class Cell:
 def enumerate_cells(spec: CampaignSpec, store=None) -> list[Cell]:
     """Decompose a fixed-N spec into cells, deduplicated against ``store``.
 
-    Key construction matches :func:`repro.campaign.plan.plan_campaign`
-    exactly (same :func:`~repro.campaign.plan.cell_request` template),
-    so a cell executed by a remote worker lands on the very key an
-    in-process campaign would read it back from.  With a store, every key is
+    The grid and its keys are :meth:`CampaignSpec.grid`, the enumeration
+    :func:`repro.campaign.plan.plan_campaign` uses, so a cell executed by
+    a remote worker lands on the very key an in-process campaign would
+    read it back from.  With a store, every key is
     resolved in one batched :meth:`~repro.store.RunStore.get_many`-style
     backend pass and already-satisfied cells come back ``cached=True``
     -- the submit-side dedup that keeps N tenants from ever re-running
@@ -203,23 +126,17 @@ def enumerate_cells(spec: CampaignSpec, store=None) -> list[Cell]:
     """
     if spec.stop_rule is not None:
         raise ServiceError("adaptive specs cannot be decomposed into cells")
-    cells: list[Cell] = []
-    for ci, (label, config) in enumerate(spec.configs):
-        for wi, wspec in enumerate(spec.workloads):
-            template = cell_request(spec, config, wspec)
-            for i in range(spec.n_runs):
-                seed = spec.run.seed + i
-                key = template.with_seed(seed).run_key
-                cells.append(
-                    Cell(
-                        config_index=ci,
-                        workload_index=wi,
-                        config_label=label,
-                        workload=wspec.name,
-                        seed=seed,
-                        run_key=key,
-                    )
-                )
+    cells = [
+        Cell(
+            config_index=ci,
+            workload_index=wi,
+            config_label=label,
+            workload=wspec.name,
+            seed=seed,
+            run_key=key,
+        )
+        for ci, wi, label, wspec, seed, key in spec.grid()
+    ]
     if store is not None:
         present = store.backend.contains_many([c.run_key for c in cells])
         cells = [replace(cell, cached=cell.run_key in present) for cell in cells]

@@ -6,11 +6,12 @@ publishes the result through the shared :class:`~repro.store.RunStore`.
 Everything that matters for correctness is therefore in infrastructure
 the in-process path already trusts:
 
-- the cell executes through the very same request template
-  (:func:`repro.campaign.plan.cell_request` ->
-  :func:`repro.core.request.execute_request`) the fan-out engine and
-  ``run_space`` use, so its result is bit-identical to an in-process
-  campaign's;
+- the cell is one seed of the very request template an in-process
+  campaign cell keys and runs
+  (:func:`repro.campaign.plan.cell_request`), executed by
+  :func:`repro.core.request.execute_request` -- the single-run entry of
+  the one run dispatch every fan-out seed goes through -- so its result
+  is bit-identical to an in-process campaign's;
 - a warm-started cell resolves its shared warm checkpoint through
   :func:`repro.system.checkpoint.warm_checkpoint` with the store --
   cause-keyed, so N workers build it at most N times and usually zero

@@ -3,8 +3,9 @@
 The paper's methodology multiplies cost by N runs per configuration;
 this package makes those runs *durable*: every completed simulation is
 keyed by its complete cause (:mod:`repro.store.keys`), serialized to
-JSON (:mod:`repro.store.serialize`), and persisted under a cache
-directory with an append-only journal (:mod:`repro.store.store`).
+JSON (the dataclasses' own ``to_dict``/``from_dict``), and persisted
+under a cache directory with an append-only journal
+(:mod:`repro.store.store`).
 ``run_space(..., store=...)`` and :mod:`repro.campaign` consult the
 store before executing, so interrupted experiments resume where they
 stopped and repeated studies reuse prior measurements.
@@ -19,17 +20,6 @@ from repro.store.backends import (
     make_backend,
 )
 from repro.store.keys import KEY_VERSION, canonical_json, digest, run_key, warm_key
-from repro.store.serialize import (
-    analysis_to_dict,
-    run_config_from_dict,
-    run_config_to_dict,
-    run_sample_from_dict,
-    run_sample_to_dict,
-    simulation_result_from_dict,
-    simulation_result_to_dict,
-    system_config_from_dict,
-    system_config_to_dict,
-)
 from repro.store.store import STORE_DIR_ENV, RunStore, default_store_dir
 
 __all__ = [
@@ -38,15 +28,6 @@ __all__ = [
     "digest",
     "run_key",
     "warm_key",
-    "analysis_to_dict",
-    "run_config_from_dict",
-    "run_config_to_dict",
-    "run_sample_from_dict",
-    "run_sample_to_dict",
-    "simulation_result_from_dict",
-    "simulation_result_to_dict",
-    "system_config_from_dict",
-    "system_config_to_dict",
     "STORE_DIR_ENV",
     "STORE_BACKEND_ENV",
     "RunStore",

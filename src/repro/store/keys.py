@@ -27,6 +27,7 @@ import json
 from typing import Mapping
 
 from repro.config import RunConfig, SystemConfig
+from repro.core.request import fold_modes
 
 #: bump when the meaning of identical inputs changes (simulator semantics)
 KEY_VERSION = 1
@@ -78,9 +79,9 @@ def run_key(
     timed window -- or ``"live"``, the phase-detecting stratified
     sampler of :mod:`repro.core.livesample`, which estimates the same
     region from a subset of timed windows); an estimated result must
-    never alias the exhaustively-timed one.  All three defaults are
-    folded in only at non-default values, keeping every pre-existing
-    key byte-identical.
+    never alias the exhaustively-timed one.  All three are folded in
+    only at non-default values (:func:`repro.core.request.fold_modes`),
+    keeping every pre-existing key byte-identical.
     """
     payload = {
         "v": KEY_VERSION,
@@ -93,13 +94,8 @@ def run_key(
             "params": dict(workload_params or {}),
         },
         "checkpoint": checkpoint_digest,
+        **fold_modes(warmup_mode=warmup_mode, fidelity=fidelity, sampling_mode=sampling_mode),
     }
-    if warmup_mode != "timed":
-        payload["warmup_mode"] = warmup_mode
-    if fidelity != "ooo":
-        payload["fidelity"] = fidelity
-    if sampling_mode != "fixed":
-        payload["sampling_mode"] = sampling_mode
     return digest(payload)
 
 
@@ -153,7 +149,6 @@ def warm_key(
         "warmup_transactions": warmup_transactions,
         "warmup_seed": warmup_seed,
         "max_time_ns": max_time_ns,
+        **fold_modes(warmup_mode=warmup_mode),
     }
-    if warmup_mode != "timed":
-        payload["warmup_mode"] = warmup_mode
     return digest(payload)

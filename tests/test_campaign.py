@@ -278,17 +278,16 @@ class TestWorkloadSeedHandling:
 
 class TestRunSpaceErrorCapture:
     def test_failure_names_the_seed(self, monkeypatch):
-        import repro.core.runner as runner_mod
+        import repro.core.fanout as fanout_mod
 
-        real = runner_mod._one_run
+        real = fanout_mod._simulate_resident
 
-        def flaky(job):
-            request, _checkpoint = job
-            if request.run.seed == RUN.seed + 1:
+        def flaky(resident, run):
+            if run.seed == RUN.seed + 1:
                 raise ZeroDivisionError("boom")
-            return real(job)
+            return real(resident, run)
 
-        monkeypatch.setattr(runner_mod, "_one_run", flaky)
+        monkeypatch.setattr(fanout_mod, "_simulate_resident", flaky)
         with pytest.raises(RunSpaceError) as excinfo:
             run_space(CONFIG, "oltp", RUN, 3,
                       workload_params={"threads_per_cpu": 2})
@@ -298,24 +297,23 @@ class TestRunSpaceErrorCapture:
         assert err.completed == 2
 
     def test_completed_runs_persisted_before_raise(self, tmp_path, monkeypatch):
-        import repro.core.runner as runner_mod
+        import repro.core.fanout as fanout_mod
 
         store = RunStore(tmp_path)
-        real = runner_mod._one_run
+        real = fanout_mod._simulate_resident
 
-        def flaky(job):
-            request, _checkpoint = job
-            if request.run.seed == RUN.seed:
+        def flaky(resident, run):
+            if run.seed == RUN.seed:
                 raise RuntimeError("first seed dies")
-            return real(job)
+            return real(resident, run)
 
-        monkeypatch.setattr(runner_mod, "_one_run", flaky)
+        monkeypatch.setattr(fanout_mod, "_simulate_resident", flaky)
         with pytest.raises(RunSpaceError):
             run_space(CONFIG, "oltp", RUN, 3,
                       workload_params={"threads_per_cpu": 2}, store=store)
         assert store.journal_length() == 2  # survivors persisted
 
-        monkeypatch.setattr(runner_mod, "_one_run", real)
+        monkeypatch.setattr(fanout_mod, "_simulate_resident", real)
         sample = run_space(CONFIG, "oltp", RUN, 3,
                            workload_params={"threads_per_cpu": 2}, store=store)
         assert len(sample.results) == 3

@@ -173,3 +173,56 @@ class TestCampaignCommand:
         )
         assert code == 2
         assert "--values" in capsys.readouterr().err
+
+
+class TestScaleIsHonoured:
+    """``--scale`` reaches the workload -- and so the run keys -- on every
+    subcommand that accepts it, not only on ``run``."""
+
+    SMALL = ["--workload", "oltp", "--txns", "10", "--warmup", "10", "--cpus", "2"]
+
+    def space(self, store, scale, capsys):
+        argv = ["space", *self.SMALL, "--runs", "1", "--json", "--store", str(store),
+                "--scale", scale]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["results"][0]["cycles_per_transaction"]
+
+    def test_space_scale_changes_result_and_key(self, tmp_path, capsys):
+        from repro.store import RunStore
+
+        full = self.space(tmp_path, "1.0", capsys)
+        half = self.space(tmp_path, "0.5", capsys)
+        assert half != full
+        assert len(RunStore(tmp_path).keys()) == 2  # two identities, not one overwritten
+        assert main(["run", *self.SMALL, "--scale", "0.5"]) == 0
+        assert f"{half:,.0f}" in capsys.readouterr().out  # what `run --scale` measures
+
+    def test_space_default_scale_keys_as_before(self, tmp_path, capsys):
+        """Scale 1.0 through a workload instance is the key a workload
+        *name* has always produced."""
+        from repro.config import RunConfig, SystemConfig
+        from repro.core.request import RunRequest, WorkloadSpec
+        from repro.store import RunStore
+
+        self.space(tmp_path, "1.0", capsys)
+        request = RunRequest(
+            config=SystemConfig(n_cpus=2).with_perturbation(4),
+            workload=WorkloadSpec.resolve("oltp"),
+            run=RunConfig(measured_transactions=10, warmup_transactions=10, seed=1),
+        )
+        assert RunStore(tmp_path).keys() == [request.run_key]
+
+    def test_campaign_dry_run_scale_rekeys(self, tmp_path, capsys):
+        argv = ["campaign", *self.SMALL, "--runs", "2", "--store", str(tmp_path)]
+        assert main(argv + ["--scale", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--scale", "0.5", "--dry-run"]) == 0
+        assert "2 cached, 0 pending" in capsys.readouterr().out
+        assert main(argv + ["--scale", "1.0", "--dry-run"]) == 0
+        assert "0 cached, 2 pending" in capsys.readouterr().out
+        # and `space` at the same scale is the same cell
+        assert main(["space", *self.SMALL, "--runs", "2", "--store", str(tmp_path),
+                     "--scale", "0.5"]) == 0
+        from repro.store import RunStore
+
+        assert RunStore(tmp_path).journal_length() == 2

@@ -337,3 +337,32 @@ def test_inline_adaptive_live_cell_opens_its_context_once(tmp_path, counts, monk
     assert all(resident is residents[0] for resident in residents)  # ... one resident
     assert counts["materialize"] == 1
     assert counts["survey"] == 1
+
+
+def test_run_space_inline_materializes_once_and_clones_per_seed(tmp_path, counts, monkeypatch):
+    """``run_space(n_jobs=1)`` is the in-process campaign cell: an 8-seed
+    warm-started sample opens its checkpoint once and clones per seed
+    (its old sequential leg re-materialized per seed), and a fully cached
+    re-run neither warms up nor runs."""
+    from repro.core.runner import run_space
+    from repro.store import RunStore
+    from repro.system import checkpoint as checkpoint_mod
+
+    warmups = []
+    real_warm = checkpoint_mod.warm_checkpoint
+    monkeypatch.setattr(
+        checkpoint_mod, "warm_checkpoint",
+        lambda *args, **kwargs: warmups.append(1) or real_warm(*args, **kwargs),
+    )
+    run = RunConfig(measured_transactions=10, warmup_transactions=12, seed=1, max_time_ns=MAX_NS)
+    kwargs = dict(workload_params={"threads_per_cpu": 2}, warm_start=True, store=RunStore(tmp_path))
+    first = run_space(OOO, "oltp", run, 8, **kwargs)
+    assert (len(warmups), counts["materialize"], counts["clone"]) == (1, 1, 8)
+
+    def boom(_resident, _run):
+        raise AssertionError("a cached run was executed")
+
+    monkeypatch.setattr(fanout_mod, "_simulate_resident", boom)
+    again = run_space(OOO, "oltp", run, 8, **kwargs)
+    assert (len(warmups), counts["materialize"], counts["clone"]) == (1, 1, 8)
+    assert [r.to_dict() for r in again.results] == [r.to_dict() for r in first.results]

@@ -261,24 +261,25 @@ class TestWarmupModePlumbing:
         )
 
     def test_campaign_spec_validates_mode(self):
-        from repro.campaign.plan import CampaignSpec, cell_key_mode
+        from repro.campaign.plan import CampaignSpec, cell_request
         from repro.core.runner import WorkloadSpec
 
+        wspec = WorkloadSpec.resolve("oltp")
         base = dict(
             configs=[("base", CONFIG)],
-            workloads=[WorkloadSpec.resolve("oltp")],
+            workloads=[wspec],
             run=self.RUN,
             n_runs=2,
         )
-        with pytest.raises(ValueError, match="warm-up mode"):
+        with pytest.raises(ValueError, match="unknown warmup_mode 'nope'"):
             CampaignSpec(warmup_mode="nope", **base)
         cold = CampaignSpec(warmup_mode="functional", **base)
-        assert cell_key_mode(cold) == "functional"
+        assert cell_request(cold, CONFIG, wspec).warmup_mode == "functional"
         warm = CampaignSpec(
             warmup_mode="functional", warm_start=True, **base
         )
         # warm-started cells carry the mode in the warm key instead
-        assert cell_key_mode(warm) == "timed"
+        assert cell_request(warm, CONFIG, wspec).warmup_mode == "timed"
 
 
 class TestMultiWindowSampling:

@@ -3,31 +3,17 @@
 import pytest
 
 from repro.config import RunConfig, SystemConfig
-from repro.core.request import RunRequest, WorkloadSpec
-from repro.core.runner import _one_run, run_space
+from repro.core.request import RunRequest, WorkloadSpec, execute_request
+from repro.core.runner import run_space
+from repro.system.simulation import run_simulation
 from repro.workloads.registry import make_workload
 
 CONFIG = SystemConfig(n_cpus=4)
 
 
 class TestLegacyJobTuples:
-    """The pre-RunRequest positional job tuples are gone, not half-accepted."""
-
-    def test_positional_tuple_job_raises_type_error(self):
-        job = (
-            CONFIG,
-            "oltp",
-            12345,
-            1.0,
-            {"threads_per_cpu": 2},
-            RunConfig(measured_transactions=15, seed=3),
-            None,
-            "timed",
-        )
-        with pytest.raises(TypeError, match=r"\(RunRequest, checkpoint\) pair"):
-            _one_run(job)
-        with pytest.raises(TypeError, match="got str"):
-            _one_run("oltp")
+    """Workload parameter overrides travel inside the request (they once
+    rode in a positional job tuple; the class name is kept for test ids)."""
 
     def test_tuple_param_override_matters(self):
         results = []
@@ -43,22 +29,23 @@ class TestLegacyJobTuples:
                 ),
                 run=RunConfig(measured_transactions=40, seed=3),
             )
-            results.append(_one_run((request, None)).cycles_per_transaction)
+            results.append(execute_request(request).cycles_per_transaction)
         assert results[0] != results[1]
 
 
 class TestOneRunWorker:
     def test_worker_accepts_request_checkpoint_pair(self):
+        """A cold request with an explicit ``None`` checkpoint is the bare
+        simulation of that request."""
+        params = {"threads_per_cpu": 2}
+        run = RunConfig(measured_transactions=15, seed=3)
         request = RunRequest(
-            config=CONFIG,
-            workload=WorkloadSpec.resolve(
-                "oltp", workload_params={"threads_per_cpu": 2}
-            ),
-            run=RunConfig(measured_transactions=15, seed=3),
+            config=CONFIG, workload=WorkloadSpec.resolve("oltp", workload_params=params), run=run
         )
-        result = _one_run((request, None))
+        result = execute_request(request, None)
         assert result.measured_transactions == 15
-        assert result.to_dict() == _one_run(request).to_dict()
+        bare = run_simulation(CONFIG, make_workload("oltp", **params), run)
+        assert result.to_dict() == bare.to_dict()
 
 
 class TestRunSpaceParams:

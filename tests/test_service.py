@@ -122,17 +122,14 @@ class TestWireProtocol:
         assert data["fidelity"] == "simple"
         assert spec_from_dict(data) == spec
 
-    def test_v1_payload_decodes_at_full_fidelity(self):
-        """A spec serialized before the fidelity field existed (protocol
-        v1) must decode to the full-fidelity tier, keying exactly as it
-        always did."""
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_only_the_current_version_is_accepted(self, version):
+        """v1/v2 clients never existed; their payloads get the same
+        refusal as any other foreign version."""
         data = spec_to_dict(small_spec())
-        data["version"] = 1
-        del data["fidelity"]
-        del data["sampling_mode"]
-        spec = spec_from_dict(data)
-        assert spec.fidelity == "ooo"
-        assert spec == small_spec()
+        data["version"] = version
+        with pytest.raises(ServiceError, match=f"unsupported submission version {version}"):
+            spec_from_dict(data)
 
     def test_unknown_sampling_mode_rejected_at_submit(self):
         data = spec_to_dict(small_spec())
@@ -157,16 +154,6 @@ class TestWireProtocol:
         assert data["sampling_mode"] == "live"
         assert data["version"] == 3
         assert spec_from_dict(data) == spec
-
-    def test_v2_payload_decodes_at_fixed_sampling(self):
-        """A spec serialized before sampling_mode existed (protocol v2)
-        must decode to fixed sampling, keying exactly as it always did."""
-        data = spec_to_dict(small_spec())
-        data["version"] = 2
-        del data["sampling_mode"]
-        spec = spec_from_dict(data)
-        assert spec.sampling_mode == "fixed"
-        assert spec == small_spec()
 
     def test_cells_match_campaign_plan(self, tmp_path):
         """enumerate_cells agrees with plan_campaign key for key."""

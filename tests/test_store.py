@@ -234,12 +234,12 @@ class TestRunSpaceStoreIntegration:
         first = run_space(CONFIG, "oltp", RUN, 2, **kwargs)
         assert store.journal_length() == 2
 
-        import repro.core.runner as runner_mod
+        import repro.core.fanout as fanout_mod
 
-        def boom(_args):
+        def boom(_resident, _run):
             raise AssertionError("cached run was re-executed")
 
-        monkeypatch.setattr(runner_mod, "_one_run", boom)
+        monkeypatch.setattr(fanout_mod, "_simulate_resident", boom)
         second = run_space(CONFIG, "oltp", RUN, 2, **kwargs)
         assert second.values == first.values
         assert store.journal_length() == 2  # nothing re-executed
