@@ -36,6 +36,8 @@ from repro.config import RunConfig, SystemConfig
 from repro.core.experiment import compare_configurations
 from repro.core.request import MODE_AXES, modes_of
 from repro.core.runner import DEFAULT_WORKLOAD_SEED, run_space
+from repro.store import resolve_store
+from repro.store.backends import BACKENDS
 from repro.system.simulation import run_simulation
 from repro.workloads.registry import PAPER_TRANSACTIONS, available_workloads, make_workload
 
@@ -83,13 +85,13 @@ def _run_config(args: argparse.Namespace, seed: int | None = None) -> RunConfig:
     )
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_store_arguments(
+    parser: argparse.ArgumentParser,
+    store_help: str = "store root (default: $REPRO_STORE_DIR or ~/.cache/repro)",
+) -> None:
+    parser.add_argument("--store", default=None, help=store_help)
     parser.add_argument(
-        "--store", default=None,
-        help="store root (default: $REPRO_STORE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--store-backend", choices=("dir", "sqlite"), default=None,
+        "--store-backend", choices=tuple(BACKENDS), default=None,
         help="store backend (default: $REPRO_STORE_BACKEND or 'dir'; 'sqlite' "
              "lets many worker processes share one store safely)",
     )
@@ -305,11 +307,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_space(args: argparse.Namespace) -> int:
     """Sample the space of perturbed runs and print the variability summary."""
-    store = None
-    if args.store is not None:
-        from repro.store import RunStore
-
-        store = RunStore(args.store, backend=args.store_backend)
     sample = run_space(
         _base_config(args),
         _workload(args),
@@ -317,7 +314,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         args.runs,
         n_jobs=args.jobs,
         warm_start=args.warm_start,
-        store=store,
+        store=resolve_store(args.store, backend=args.store_backend),
         **modes_of(args),
     )
     if args.json:
@@ -423,11 +420,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     from repro.campaign import Campaign
 
-    try:
-        spec = _campaign_spec_from_args(args)
-    except ValueError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec_from_args(args)
     store = _store_from_args(args)
     campaign = Campaign(
         spec, store, n_jobs=args.jobs, timeout_s=args.timeout
@@ -548,15 +541,12 @@ def cmd_campaign_submit(args: argparse.Namespace) -> int:
     everything already in the shared store.  ``--watch`` follows the
     stream until completion (exit 0 iff no cell was quarantined).
     """
-    from repro.service import ServiceError, spec_to_dict
+    from repro.service import spec_to_dict
     from repro.service.client import ServiceClientError, submit_campaign
 
-    try:
-        spec = _campaign_spec_from_args(args)
-        payload = spec_to_dict(spec)
-    except (ValueError, ServiceError) as exc:
-        print(f"campaign submit: {exc}", file=sys.stderr)
-        return 2
+    # a bad grid and an unservable spec (ServiceError, a ValueError) both
+    # exit 2 through main()
+    payload = spec_to_dict(_campaign_spec_from_args(args))
     try:
         receipt = submit_campaign(
             args.host, args.port, payload, max_attempts=args.max_attempts
@@ -795,14 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pay the warm-up once (shared checkpoint) instead of per seed; "
              "seeds then measure from identical warm state",
     )
-    space_parser.add_argument(
-        "--store", default=None,
-        help="persistent run store directory (caches runs and, with "
-             "--warm-start, the warm checkpoint)",
-    )
-    space_parser.add_argument(
-        "--store-backend", choices=("dir", "sqlite"), default=None,
-        help="store backend (default: $REPRO_STORE_BACKEND or 'dir')",
+    _add_store_arguments(
+        space_parser,
+        "persistent run store root (caches runs and, with --warm-start, the "
+        "warm checkpoint; default: no store)",
     )
     space_parser.add_argument(
         "--json", action="store_true",
@@ -899,10 +885,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    An illegal argument combination surfaces as the library's own
+    ``ValueError``; it is reported here, once for every subcommand, as
+    ``<command>: <message>`` on stderr with exit code 2.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        command = " ".join(
+            filter(None, (args.command, getattr(args, "service_cmd", None)))
+        )
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # downstream pager/head closed the pipe; not an error
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -568,14 +568,6 @@ class LiveSample:
     n_cpus: int = 1
     seed: int = 0
     timed_out: bool = False
-    #: transaction-stream memo deltas over the sampler's three passes
-    #: (repro.workloads.base) -- hits are build_transaction calls the
-    #: multi-pass replay avoided; None when the memo is disabled.
-    #: Diagnostics only: deliberately NOT part of summary(), because the
-    #: delta depends on process-global memo warmth (what earlier runs in
-    #: the same process already built) and result payloads must be
-    #: identical across execution environments.
-    stream_memo: dict | None = None
 
     @property
     def values(self) -> list[float]:
@@ -660,12 +652,6 @@ def _spread(items: Sequence[int], k: int) -> list[int]:
     return [items[round(i * span / (k - 1))] for i in range(k)]
 
 
-def _advance(machine, target: int, mode: str, max_time_ns: int) -> int:
-    if mode == "functional":
-        return machine.fast_forward_transactions(target, max_time_ns=max_time_ns)
-    return machine.run_until_transactions(target, max_time_ns=max_time_ns)
-
-
 def _fresh_machine(machine_factory: Callable, run: RunConfig):
     from repro.sim.rng import stream_seed
 
@@ -738,11 +724,10 @@ def _measure_intervals(
     """
     machine = _fresh_machine(machine_factory, run)
     if run.warmup_transactions:
-        _advance(
-            machine,
+        machine.advance_to_transactions(
             machine.completed_transactions + run.warmup_transactions,
-            warmup_mode,
             run.max_time_ns,
+            warmup_mode,
         )
     origin = machine.completed_transactions
     windows: list[LiveWindow] = []
@@ -830,6 +815,8 @@ def live_window_sample(
     same machine (same checkpoint, same configuration), keyed here on
     the remaining scout inputs.  Entries are read-only.
     """
+    from repro.system.machine import Machine, check_warmup_mode
+
     if n_intervals < 2:
         raise ValueError("live sampling needs at least two intervals")
     if interval_transactions is None:
@@ -843,8 +830,7 @@ def live_window_sample(
         raise ValueError("budget_windows must be at least 2 (variance needs two)")
     if pilot_windows < 1:
         raise ValueError("pilot_windows must be at least 1")
-    if warmup_mode not in ("timed", "functional"):
-        raise ValueError(f"unknown warm-up mode {warmup_mode!r}")
+    check_warmup_mode(warmup_mode)
     if target_fraction is not None and target_fraction <= 0:
         raise ValueError("target_fraction must be positive")
 
@@ -852,7 +838,6 @@ def live_window_sample(
         if workload is None:
             raise ValueError("need a workload or a machine_factory")
         from repro.core.request import WorkloadSpec
-        from repro.system.machine import Machine
 
         # Each pass needs untouched state, and the caller's workload
         # instance may be shared: build one pristine machine from the
@@ -863,15 +848,6 @@ def live_window_sample(
         else:
             pristine = Machine(config, fresh)
         machine_factory = pristine.clone
-
-    # The three passes replay one region from identical initial
-    # conditions, which is exactly the shape the transaction-stream memo
-    # (repro.workloads.base) exploits: the scout builds each op list
-    # once and the measurement passes reuse it.  Record the delta so the
-    # sample reports its own stream-generation savings.
-    from repro.workloads.base import stream_memo_enabled, stream_memo_stats
-
-    memo_before = stream_memo_stats().as_dict() if stream_memo_enabled() else None
 
     # -- pass 1: functional scout --------------------------------------
     memo_key = (
@@ -1015,17 +991,6 @@ def live_window_sample(
         )
         for h, stratum in enumerate(strata)
     ]
-    memo_delta = None
-    if memo_before is not None:
-        after = stream_memo_stats()
-        hits = after.hits - memo_before["hits"]
-        misses = after.misses - memo_before["misses"]
-        memo_delta = {
-            "hits": hits,
-            "misses": misses,
-            "ops_reused": after.ops_reused - memo_before["ops_reused"],
-            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
-        }
     return LiveSample(
         windows=windows,
         strata=estimates,
@@ -1035,7 +1000,6 @@ def live_window_sample(
         n_cpus=config.n_cpus,
         seed=run.seed,
         timed_out=scout_timed_out or pilot_timed_out or alloc_timed_out,
-        stream_memo=memo_delta,
     )
 
 

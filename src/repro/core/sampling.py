@@ -342,15 +342,14 @@ def multi_window_sample(
     see :func:`repro.core.livesample.live_window_sample`.
     """
     from repro.sim.rng import stream_seed
-    from repro.system.machine import Machine
+    from repro.system.machine import Machine, check_warmup_mode
     from repro.workloads.registry import make_workload
 
     if n_windows <= 0:
         raise ValueError("n_windows must be positive")
     if run.measured_transactions <= 0:
         raise ValueError("windows need run.measured_transactions > 0")
-    if warmup_mode not in ("timed", "functional"):
-        raise ValueError(f"unknown warm-up mode {warmup_mode!r}")
+    check_warmup_mode(warmup_mode)
     if skip_transactions is None:
         skip_transactions = run.measured_transactions
 
@@ -362,15 +361,12 @@ def multi_window_sample(
         machine = Machine(config, workload)
     machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
 
-    def advance(target: int) -> int:
-        if warmup_mode == "functional":
-            return machine.fast_forward_transactions(
-                target, max_time_ns=run.max_time_ns
-            )
-        return machine.run_until_transactions(target, max_time_ns=run.max_time_ns)
-
     if run.warmup_transactions:
-        advance(machine.completed_transactions + run.warmup_transactions)
+        machine.advance_to_transactions(
+            machine.completed_transactions + run.warmup_transactions,
+            run.max_time_ns,
+            warmup_mode,
+        )
 
     windows: list[WindowMeasurement] = []
     for index in range(n_windows):
@@ -396,7 +392,11 @@ def multi_window_sample(
         if machine.timed_out:
             break
         if skip_transactions and index < n_windows - 1:
-            advance(machine.completed_transactions + skip_transactions)
+            machine.advance_to_transactions(
+                machine.completed_transactions + skip_transactions,
+                run.max_time_ns,
+                warmup_mode,
+            )
 
     return MultiWindowSample(
         windows=windows,

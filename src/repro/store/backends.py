@@ -42,7 +42,7 @@ import time
 import warnings
 from pathlib import Path
 
-#: environment variable selecting the backend ("dir" or "sqlite")
+#: environment variable selecting the backend (a :data:`BACKENDS` name)
 STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 
 #: sqlite database filename under the store root
@@ -53,31 +53,6 @@ _SQLITE_BUSY_TIMEOUT_S = 30.0
 
 #: chunk size for IN (...) queries, far below SQLITE_MAX_VARIABLE_NUMBER
 _SQLITE_IN_CHUNK = 400
-
-
-def default_backend_kind() -> str:
-    """The backend selected by ``$REPRO_STORE_BACKEND`` (default ``dir``)."""
-    kind = os.environ.get(STORE_BACKEND_ENV, "dir").strip() or "dir"
-    if kind not in ("dir", "sqlite"):
-        raise ValueError(
-            f"unknown store backend {kind!r} in ${STORE_BACKEND_ENV} "
-            "(expected 'dir' or 'sqlite')"
-        )
-    return kind
-
-
-def make_backend(root: Path, kind: str | None = None) -> "StoreBackend":
-    """Construct the backend for a store root.
-
-    ``kind`` is ``"dir"``, ``"sqlite"``, or ``None`` to honour
-    ``$REPRO_STORE_BACKEND`` (default ``dir``).
-    """
-    kind = default_backend_kind() if kind is None else kind
-    if kind == "dir":
-        return DirBackend(root)
-    if kind == "sqlite":
-        return SQLiteBackend(root)
-    raise ValueError(f"unknown store backend {kind!r} (expected 'dir' or 'sqlite')")
 
 
 class StoreBackend:
@@ -510,3 +485,33 @@ class SQLiteBackend(StoreBackend):
                 (key, data),
             )
         )
+
+
+#: every store backend by name, declared once: :func:`make_backend` (which
+#: also vets ``$REPRO_STORE_BACKEND``) and the CLI's ``--store-backend``
+#: choices read this table
+BACKENDS: dict[str, type[StoreBackend]] = {
+    backend.kind: backend for backend in (DirBackend, SQLiteBackend)
+}
+
+
+def default_backend_kind() -> str:
+    """The backend name in ``$REPRO_STORE_BACKEND`` (default ``dir``);
+    :func:`make_backend` rejects one that is not in :data:`BACKENDS`."""
+    return os.environ.get(STORE_BACKEND_ENV, "").strip() or DirBackend.kind
+
+
+def make_backend(root: Path, kind: str | None = None) -> StoreBackend:
+    """Construct the backend for a store root.
+
+    ``kind`` is a :data:`BACKENDS` name, or ``None`` to honour
+    ``$REPRO_STORE_BACKEND`` (default ``dir``).
+    """
+    if kind is None:
+        kind = default_backend_kind()
+    if kind not in BACKENDS:
+        raise ValueError(
+            f"unknown store backend {kind!r}: expected one of "
+            f"{', '.join(BACKENDS)} (--store-backend or ${STORE_BACKEND_ENV})"
+        )
+    return BACKENDS[kind](root)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.system.machine import Machine
+from repro.system.machine import Machine, check_warmup_mode
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
 
@@ -188,8 +188,7 @@ def warm_checkpoint(
     """
     from repro.sim.rng import stream_seed
 
-    if mode not in ("timed", "functional"):
-        raise ValueError(f"unknown warm-up mode {mode!r}")
+    check_warmup_mode(mode)
     if isinstance(workload, str):
         workload = make_workload(workload)
     if warmup_transactions is None:
@@ -222,10 +221,7 @@ def warm_checkpoint(
 
     machine = Machine(config, workload)
     machine.hierarchy.seed_perturbation(stream_seed(warmup_seed, "warmup"))
-    if mode == "functional":
-        machine.fast_forward_transactions(warmup_transactions, max_time_ns=max_time_ns)
-    else:
-        machine.run_until_transactions(warmup_transactions, max_time_ns=max_time_ns)
+    machine.advance_to_transactions(warmup_transactions, max_time_ns, mode)
     checkpoint = Checkpoint.capture(machine)
     if store is not None:
         store.put_checkpoint(key, checkpoint)

@@ -65,7 +65,6 @@ from repro.workloads.base import (
     WorkloadClock,
     export_stream_memo,
     merge_stream_memo,
-    stream_memo_enabled,
 )
 
 #: default maximum uninterrupted execution per core event (overridable
@@ -80,6 +79,13 @@ _NEVER = 1 << 62
 class SimulationStall(Exception):
     """Raised when the event queue drains while threads are still blocked
     (a deadlock in the workload/OS interaction -- always a bug)."""
+
+
+def check_warmup_mode(mode: str) -> None:
+    """Reject a warm-up mode :meth:`Machine.advance_to_transactions` cannot
+    execute (callers with work to lose call this before starting it)."""
+    if mode not in ("timed", "functional"):
+        raise ValueError(f"unknown warm-up mode {mode!r}")
 
 
 class Machine:
@@ -284,6 +290,18 @@ class Machine:
         return fast_forward_transactions(
             self, total, max_time_ns=max_time_ns, interleave_ns=interleave_ns
         )
+
+    def advance_to_transactions(self, total: int, max_time_ns: int, mode: str) -> int:
+        """Reach ``total`` machine-lifetime transactions the way a warm-up
+        leg or an inter-window skip does: under the event loop
+        (``mode="timed"``, :meth:`run_until_transactions`) or the
+        functional engine (``"functional"``,
+        :meth:`fast_forward_transactions`).  Same contract as either.
+        """
+        check_warmup_mode(mode)
+        if mode == "functional":
+            return self.fast_forward_transactions(total, max_time_ns=max_time_ns)
+        return self.run_until_transactions(total, max_time_ns=max_time_ns)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -569,8 +587,7 @@ class Machine:
             for key, value in self.__dict__.items()
             if key not in ("_dispatch", "_simple_handlers")
         }
-        if stream_memo_enabled():
-            state["_stream_memo"] = export_stream_memo(self.workload.stream_key())
+        state["_stream_memo"] = export_stream_memo(self.workload.stream_key())
         import pickle
 
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.config import RunConfig, SystemConfig
 from repro.sim.rng import stream_seed
-from repro.system.machine import Machine
+from repro.system.machine import Machine, check_warmup_mode
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
 
@@ -176,8 +176,7 @@ def measure_machine(
     (:mod:`repro.core.ffwd`); timing resumes for the measured window, so
     the reported cycles-per-transaction is always a timed quantity.
     """
-    if warmup_mode not in ("timed", "functional"):
-        raise ValueError(f"unknown warm-up mode {warmup_mode!r}")
+    check_warmup_mode(warmup_mode)
     machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
     if probes is not None:
         machine.attach_probes(probes)
@@ -189,14 +188,9 @@ def measure_machine(
     base = machine.completed_transactions
     start_ns = machine.clock.now
     if run.warmup_transactions:
-        if warmup_mode == "functional":
-            start_ns = machine.fast_forward_transactions(
-                base + run.warmup_transactions, max_time_ns=run.max_time_ns
-            )
-        else:
-            start_ns = machine.run_until_transactions(
-                base + run.warmup_transactions, max_time_ns=run.max_time_ns
-            )
+        start_ns = machine.advance_to_transactions(
+            base + run.warmup_transactions, run.max_time_ns, warmup_mode
+        )
     start_txns = machine.completed_transactions
     end_ns = machine.run_until_transactions(
         start_txns + run.measured_transactions, max_time_ns=run.max_time_ns

@@ -35,7 +35,6 @@ every run; only its *timing context* differs.
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Any
@@ -79,10 +78,8 @@ Op = tuple
 # engines read by index), so one list may be shared by any number of
 # machines in the process.
 #
-# ``REPRO_STREAM_MEMO=0`` disables the memo (every build runs); the
-# per-stream entry cap bounds footprint on long runs.
+# The per-stream entry cap bounds footprint on long runs.
 
-_MEMO_ENABLED = os.environ.get("REPRO_STREAM_MEMO", "1") != "0"
 _MEMO_STREAM_CAP = 4096
 #: suffix distinguishing an entry's extra-state after-image from its op
 #: stream within one bucket (a sentinel string rather than an object()
@@ -105,22 +102,6 @@ class StreamMemoStats:
         """Number of build_transaction calls the memo avoided."""
         return self.hits
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of memo lookups that hit (0 if none)."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "ops_reused": self.ops_reused,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
 
 _MEMO_STATS = StreamMemoStats()
 
@@ -128,11 +109,6 @@ _MEMO_STATS = StreamMemoStats()
 def stream_memo_stats() -> StreamMemoStats:
     """The live process-wide memo counters (mutated in place)."""
     return _MEMO_STATS
-
-
-def stream_memo_enabled() -> bool:
-    """Whether the memo is active in this process."""
-    return _MEMO_ENABLED
 
 
 def reset_stream_memo(reset_stats: bool = True) -> None:
@@ -171,8 +147,6 @@ def merge_stream_memo(exported: dict) -> None:
     Existing entries win (they are byte-identical by construction; not
     replacing them preserves list sharing with live op buffers).
     """
-    if not _MEMO_ENABLED:
-        return
     for key, bucket in exported.items():
         mine = _STREAM_MEMO.setdefault(key, {})
         for entry_key, entry in bucket.items():
@@ -535,11 +509,8 @@ class Workload:
     def bind_stream_memo(self, program: WorkloadProgram) -> None:
         """Attach the shared memo bucket for ``program``'s stream.
 
-        Machine construction (and thaw) calls this once per thread; a
-        no-op when ``REPRO_STREAM_MEMO=0``.
+        Machine construction (and thaw) calls this once per thread.
         """
-        if not _MEMO_ENABLED:
-            return
         key = (type(program).__qualname__, program.tid, self.stream_key())
         try:
             program._memo = _STREAM_MEMO.setdefault(key, {})

@@ -175,6 +175,35 @@ class TestCampaignCommand:
         assert "--values" in capsys.readouterr().err
 
 
+class TestIllegalArguments:
+    """An illegal argument combination is one ``<command>: <message>`` line
+    on stderr and exit code 2 on every subcommand, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["space", "--runs", "2", "--txns", "5", "--warmup", "0", "--cpus", "2",
+              "--warm-start"],
+             "space: warm_start needs run.warmup_transactions > 0"),
+            (["space", "--runs", "0", "--txns", "5", "--cpus", "2"],
+             "space: n_runs must be positive"),
+            (["space", "--txns", "5", "--warmup", "5", "--sampling-mode", "live",
+              "--fidelity", "ffwd"],
+             "space: sampling_mode='live' places timed measurement windows"),
+            (["campaign", "--vary", "dram", "--dry-run"],
+             "campaign: --vary needs --values"),
+        ],
+        ids=["warm-start-without-warmup", "zero-runs", "live-on-ffwd",
+             "vary-without-values"],
+    )
+    def test_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestScaleIsHonoured:
     """``--scale`` reaches the workload -- and so the run keys -- on every
     subcommand that accepts it, not only on ``run``."""

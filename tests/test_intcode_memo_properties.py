@@ -184,14 +184,7 @@ def test_reset_keeps_live_machines_attached():
     """``reset_stream_memo`` empties the buckets in place: a machine
     built before the reset and one built after it on the same stream key
     still share one bucket, so what the first builds the second replays."""
-    from repro.workloads.base import (
-        reset_stream_memo,
-        stream_memo_enabled,
-        stream_memo_stats,
-    )
-
-    if not stream_memo_enabled():
-        pytest.skip("REPRO_STREAM_MEMO=0")
+    from repro.workloads.base import reset_stream_memo, stream_memo_stats
 
     def build():
         machine = Machine(SystemConfig(n_cpus=2), make_workload("specjbb", seed=77))

@@ -66,6 +66,16 @@ def service_run(spec, store, **worker_kwargs):
     return queue, campaign_id, cells
 
 
+def spawn_worker(store, queue, *flags, **env):
+    """A real ``campaign worker`` process on ``store``/``queue``."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "worker",
+         "--store", str(store.root), "--store-backend", store.backend.kind,
+         "--queue", str(queue.path), "--quiet", *flags],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src"), **env),
+    )
+
+
 def assert_stores_identical(inproc: RunStore, served: RunStore):
     keys = inproc.keys()
     assert keys, "differential ran against an empty store"
@@ -268,16 +278,8 @@ class TestWorker:
         cid = queue.submit(spec.name, spec_to_dict(spec),
                            enumerate_cells(spec, store))
 
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(REPO / "src"),
-            REPRO_SERVICE_TEST_SLEEP="60",
-        )
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "campaign", "worker",
-             "--store", str(store.root), "--store-backend", "sqlite",
-             "--queue", str(queue.path), "--lease", "1", "--quiet"],
-            env=env,
+        victim = spawn_worker(
+            store, queue, "--lease", "1", REPRO_SERVICE_TEST_SLEEP="60"
         )
         try:
             deadline = time.monotonic() + 30
@@ -298,6 +300,40 @@ class TestWorker:
         assert counts["done"] + counts["cached"] == counts["total"]
         kinds = [e["kind"] for e in queue.events_since(cid, 0)]
         assert "lease-expired" in kinds
+        assert_stores_identical(inproc, store)
+
+    def test_worker_fleet_lands_in_process_bytes(self, tmp_path):
+        """Two concurrent worker processes drain one queue into one sqlite
+        store: every cell lands once, byte-identical to an in-process run."""
+        spec = small_spec(n_runs=3)
+        inproc = RunStore(tmp_path / "ref")
+        Campaign(spec, inproc).run()
+
+        store = RunStore(tmp_path / "served", backend="sqlite")
+        queue = WorkQueue(store.root / "queue.sqlite")
+        cid = queue.submit(spec.name, spec_to_dict(spec),
+                           enumerate_cells(spec, store))
+        # the post-claim pause keeps the first worker up from draining the
+        # queue alone while the second is still importing
+        fleet = [
+            spawn_worker(store, queue, "--drain", "--poll", "0.05",
+                         REPRO_SERVICE_TEST_SLEEP="0.5")
+            for _ in range(2)
+        ]
+        try:
+            for worker in fleet:
+                assert worker.wait(timeout=120) == 0
+        finally:
+            for worker in fleet:
+                if worker.poll() is None:
+                    worker.kill()
+
+        assert queue.is_done(cid)
+        counts = queue.counts(cid)
+        assert counts["quarantined"] == 0
+        assert counts["done"] + counts["cached"] == counts["total"] == 6
+        leases = [e for e in queue.events_since(cid, 0) if e["kind"] == "leased"]
+        assert len({e["worker"] for e in leases}) == 2
         assert_stores_identical(inproc, store)
 
 
