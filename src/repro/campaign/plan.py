@@ -45,8 +45,8 @@ class CampaignSpec:
     #: the shared warm-start leg or to each seed's cold warm-up;
     #: measurement windows are always timed.
     warmup_mode: str = "timed"
-    #: execution tier for every cell ("ffwd" | "simple" | "ooo"); see
-    #: :mod:`repro.core.request`.  Non-default tiers fold into every
+    #: execution tier for every cell ("simple" | "ooo"); see
+    #: :mod:`repro.core.request`.  The simple tier folds into every
     #: cell's run keys (never mixed with full-fidelity results); the
     #: escalation ladder (:mod:`repro.core.fidelity`) runs the same spec
     #: at several tiers and reconciles them.

@@ -553,7 +553,8 @@ def cmd_campaign_submit(args: argparse.Namespace) -> int:
         )
     except (ServiceClientError, OSError) as exc:
         print(f"campaign submit: {exc}", file=sys.stderr)
-        return 1
+        # HTTP 400 is the server's ServiceError: the submission was illegal
+        return 2 if getattr(exc, "status", None) == 400 else 1
     if args.json:
         # one line: with --watch the output is a JSONL stream
         print(json.dumps(receipt))
@@ -621,18 +622,13 @@ def cmd_campaign_watch(args: argparse.Namespace) -> int:
 
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     """Print one campaign's state counts (or all campaigns without --id)."""
-    from repro.service.client import ServiceClientError, campaign_status
-
-    import urllib.request
+    from repro.service.client import ServiceClientError, campaign_status, list_campaigns
 
     try:
         if args.id:
             snapshot = campaign_status(args.host, args.port, args.id)
         else:
-            with urllib.request.urlopen(
-                f"http://{args.host}:{args.port}/api/campaigns", timeout=30
-            ) as response:
-                snapshot = json.loads(response.read().decode("utf-8"))
+            snapshot = list_campaigns(args.host, args.port)
     except (ServiceClientError, OSError) as exc:
         print(f"campaign status: {exc}", file=sys.stderr)
         return 1

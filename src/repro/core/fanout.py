@@ -102,7 +102,7 @@ class SharedRunContext:
     #: how any per-seed warm-up leg executes ("timed" | "functional");
     #: see repro.core.ffwd
     warmup_mode: str = "timed"
-    #: execution tier ("ffwd" | "simple" | "ooo"); see repro.core.request
+    #: execution tier ("simple" | "ooo"); see repro.core.request
     fidelity: str = FIDELITY_FULL
     #: how the measured region is observed ("fixed" | "live"); see
     #: repro.core.livesample
@@ -211,10 +211,6 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
     :func:`repro.core.request.execute_request` call ends here.
     """
     ctx = resident.context
-    if ctx.fidelity == "ffwd":
-        from repro.core.fidelity import measure_functional
-
-        return measure_functional(resident.run_machine(), ctx.effective, run)
     if ctx.sampling_mode == "live":
         from repro.core.livesample import measure_live
 

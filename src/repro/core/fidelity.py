@@ -37,14 +37,6 @@ trail explains not only which runs exist but why the expensive ones were
 paid for.  All runs go through ordinary :class:`~repro.campaign.Campaign`
 execution, so they are content-addressed, cached, and resumable; a
 re-invoked ladder re-reads everything from the store.
-
-The ``"ffwd"`` tier (:func:`measure_functional`) is the floor of the
-ladder: functional fast-forward with cycles *estimated* from hierarchy
-event counts and the configuration's latency parameters.  It is
-deterministic across perturbation seeds (functional execution draws no
-perturbation), so it measures workload/configuration structure, not
-variability -- useful for smoke sweeps and warm-up studies, not for the
-paper's statistical protocol.
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.config import RunConfig, SystemConfig
 from repro.core.confidence import confidence_interval, intervals_overlap
 from repro.verify.differential import DifferentialResult
 
@@ -62,110 +53,9 @@ __all__ = [
     "EscalationPolicy",
     "EscalationReport",
     "config_family",
-    "measure_functional",
     "run_escalated_campaign",
     "sentinel_indices",
 ]
-
-
-# ----------------------------------------------------------------------
-# The ffwd tier: functional measurement with estimated timing
-# ----------------------------------------------------------------------
-def measure_functional(machine, config: SystemConfig, run: RunConfig):
-    """Measure a window functionally; estimate cycles from event counts.
-
-    The warm-up leg and the measurement window both execute through the
-    fast-forward engine (:mod:`repro.core.ffwd`): full architectural
-    state transitions, no event scheduling.  Cycles per transaction is
-    then *estimated* as the latency-weighted sum of the window's
-    hierarchy events (L1/L2 hits, memory fetches, cache-to-cache
-    transfers, upgrades) divided by completed transactions -- the same
-    counters the timed model charges, priced by the configuration's own
-    latency parameters, with perfect overlap assumed across CPUs.
-
-    Deterministic across perturbation seeds: functional execution draws
-    no perturbation, so every seed of an ffwd sample returns the same
-    value.  That is the tier's point (structure, not variability) and
-    why ffwd results must never alias timed ones -- the ``"ffwd"``
-    fidelity folds into their run keys.
-    """
-    from repro.sim.rng import stream_seed
-    from repro.system.simulation import SimulationResult
-
-    machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
-    base = machine.completed_transactions
-    start_ns = machine.clock.now
-    if run.warmup_transactions:
-        start_ns = machine.fast_forward_transactions(
-            base + run.warmup_transactions, max_time_ns=run.max_time_ns
-        )
-    before = _counter_snapshot(machine)
-    start_txns = machine.completed_transactions
-    end_ns = machine.fast_forward_transactions(
-        start_txns + run.measured_transactions, max_time_ns=run.max_time_ns
-    )
-    measured = machine.completed_transactions - start_txns
-    if measured == 0:
-        raise ValueError(
-            "no transactions completed in the measurement window; "
-            "increase max_time_ns or reduce warmup"
-        )
-    after = _counter_snapshot(machine)
-    delta = {name: after[name] - before[name] for name in after}
-
-    memory = config.memory
-    cost_ns = (
-        delta["l1_hits"] * config.l1d.hit_latency_ns
-        + delta["l2_hits"] * memory.l2_hit_latency_ns
-        + delta["memory_fetches"] * (memory.memory_fetch_ns + memory.dram_latency_ns)
-        + delta["cache_to_cache"] * memory.cache_transfer_ns
-        + delta["upgrades"] * memory.cache_transfer_ns
-    )
-    elapsed = max(1, round(cost_ns / config.n_cpus))
-
-    hierarchy = machine.hierarchy.stats
-    return SimulationResult(
-        cycles_per_transaction=cost_ns / measured,
-        elapsed_ns=elapsed,
-        measured_transactions=measured,
-        start_ns=start_ns,
-        end_ns=end_ns,
-        n_cpus=config.n_cpus,
-        seed=run.seed,
-        timed_out=machine.timed_out,
-        stats={
-            "l1_hits": hierarchy.l1_hits,
-            "l2_hits": hierarchy.l2_hits,
-            "l2_misses": hierarchy.l2_misses,
-            "l2_miss_rate": hierarchy.l2_miss_rate,
-            "cache_to_cache": hierarchy.cache_to_cache,
-            "memory_fetches": hierarchy.memory_fetches,
-            "upgrades": hierarchy.upgrades,
-            "writebacks": hierarchy.writebacks,
-            "perturbation_total_ns": hierarchy.perturbation_total_ns,
-            "block_race_stalls": hierarchy.block_race_stalls,
-            "dispatches": machine.scheduler.dispatches,
-            "migrations": machine.scheduler.migrations,
-            "crossbar_queue_ns": machine.hierarchy.crossbar.stats.total_queue_ns,
-            "estimated_timing": True,
-        },
-    )
-
-
-def _counter_snapshot(machine) -> dict:
-    stats = machine.hierarchy.stats
-    return {
-        name: getattr(stats, name)
-        for name in (
-            "l1_hits",
-            "l2_hits",
-            "l2_misses",
-            "memory_fetches",
-            "cache_to_cache",
-            "upgrades",
-            "writebacks",
-        )
-    }
 
 
 # ----------------------------------------------------------------------

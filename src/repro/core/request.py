@@ -24,17 +24,15 @@ picklable, JSON-round-trippable value:
   :meth:`RunRequest.seed_template` is the one derivation of what a
   sample's seeds run from the protocol a caller states;
 - **modes**: :data:`MODE_AXES` declares each run-mode axis once --
-  legal values, default, and (:func:`check_modes`) the one illegal
-  combination -- and the key fold, the wire decode and the CLI flags
-  are derived from it;
+  legal values and default; every combination of legal values is a
+  legal run -- and the validator (:func:`check_modes`), the key fold,
+  the wire decode and the CLI flags are derived from it;
 - **fidelity**: the :attr:`RunRequest.fidelity` tier selects how much
   simulation the run pays -- ``"ooo"`` (full fidelity: the
-  configuration's own core model, historically the OOO core),
+  configuration's own core model, historically the OOO core) or
   ``"simple"`` (the blocking SimpleCore forced in place of the
-  configured model), or ``"ffwd"`` (functional fast-forward only, with
-  cycles *estimated* from a latency model over the hierarchy event
-  counts).  See :mod:`repro.core.fidelity` for the escalation ladder
-  built on this field.
+  configured model).  See :mod:`repro.core.fidelity` for the escalation
+  ladder built on this field.
 
 Key-stability contract (the "never-mix" rule from the warm-up work):
 new fields fold into the canonical payload only at non-default values,
@@ -89,12 +87,11 @@ MODE_AXES = (
     ),
     ModeAxis(
         "fidelity",
-        ("ffwd", "simple", "ooo"),  # cheapest first, see repro.core.fidelity
+        ("simple", "ooo"),  # cheapest first, see repro.core.fidelity
         "ooo",
         "execution tier: ooo (full fidelity -- the configuration's own core "
-        "model -- default), simple (SimpleCore substituted for the configured "
-        "model), or ffwd (functional fast-forward with estimated cycles); "
-        "non-default tiers key their runs separately",
+        "model -- default) or simple (SimpleCore substituted for the "
+        "configured model); the simple tier keys its runs separately",
     ),
     ModeAxis(
         "sampling_mode",
@@ -107,7 +104,7 @@ MODE_AXES = (
     ),
 )
 
-#: the three fidelity tiers, cheapest first (see repro.core.fidelity)
+#: the fidelity tiers, cheapest first (see repro.core.fidelity)
 FIDELITY_TIERS = MODE_AXES[1].values
 
 #: full fidelity: execute the configuration exactly as given (its own
@@ -127,8 +124,8 @@ def check_modes(**modes) -> None:
 
     Raises ``ValueError`` naming the offending field -- the message is
     safe to show a service client -- for a value outside an axis's
-    declaration and for the one illegal combination: live sampling
-    places *timed* windows, and the ffwd tier has no timed execution.
+    declaration.  The axes are independent: every combination of legal
+    values is a legal run.
     """
     for axis in MODE_AXES:
         value = modes.get(axis.name, axis.default)
@@ -136,12 +133,6 @@ def check_modes(**modes) -> None:
             raise ValueError(
                 f"unknown {axis.name} {value!r}: expected one of {', '.join(axis.values)}"
             )
-    if modes.get("sampling_mode") == "live" and modes.get("fidelity") == "ffwd":
-        raise ValueError(
-            "sampling_mode='live' places timed measurement windows, but "
-            "the ffwd fidelity tier has no timed execution; use "
-            "fidelity='simple' or 'ooo' with live sampling"
-        )
 
 
 def fold_modes(**modes) -> dict:
@@ -252,8 +243,8 @@ class WorkloadSpec:
 def effective_config(config: SystemConfig, fidelity: str) -> SystemConfig:
     """The configuration a run at ``fidelity`` actually simulates.
 
-    ``"ooo"`` (full fidelity) and ``"ffwd"`` leave the configuration
-    untouched; ``"simple"`` forces the blocking SimpleCore in place of
+    ``"ooo"`` (full fidelity) leaves the configuration untouched;
+    ``"simple"`` forces the blocking SimpleCore in place of
     whatever core model the configuration names, holding everything else
     (caches, interconnect, OS, perturbation) fixed -- that is what makes
     a simple-tier run a *model substitution* of the same design point

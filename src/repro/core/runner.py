@@ -203,16 +203,15 @@ def run_space(
     ``fidelity`` selects the execution tier
     (:data:`repro.core.request.FIDELITY_TIERS`): ``"ooo"`` (default)
     runs the configuration exactly as given, ``"simple"`` substitutes
-    the SimpleCore model, ``"ffwd"`` fast-forwards functionally and
-    *estimates* cycles from hierarchy event counts.  Non-default tiers
-    fold into run keys (and warm keys, via the effective configuration),
-    so tiers never mix in the cache.
+    the SimpleCore model.  The simple tier folds into run keys (and warm
+    keys, via the effective configuration), so tiers never mix in the
+    cache.
 
     ``sampling_mode`` selects how each run observes its measured region
-    (:data:`repro.core.request.SAMPLING_MODES`): ``"fixed"`` (default)
-    times the whole region as one contiguous window; ``"live"``
-    surveys it functionally, detects phases from probe signatures, and
-    times a stratified subset of windows
+    (its entry in :data:`repro.core.request.MODE_AXES`): ``"fixed"``
+    (default) times the whole region as one contiguous window;
+    ``"live"`` surveys it functionally, detects phases from probe
+    signatures, and times a stratified subset of windows
     (:mod:`repro.core.livesample`) -- an estimate at a fraction of the
     timed cost.  The non-default mode folds into run keys, so
     estimated results never alias exhaustively-timed ones.

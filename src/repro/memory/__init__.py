@@ -11,7 +11,6 @@ perturbation hook, and exposes a single ``access`` call to processor
 models.
 """
 
-from repro.memory.block import block_address, block_of
 from repro.memory.cache import CacheLine, SetAssociativeCache
 from repro.memory.coherence import (
     CoherenceError,
@@ -25,8 +24,6 @@ from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.interconnect import Crossbar
 
 __all__ = [
-    "block_address",
-    "block_of",
     "CacheLine",
     "SetAssociativeCache",
     "CoherenceError",

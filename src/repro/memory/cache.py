@@ -57,13 +57,6 @@ class CacheStats:
         """Total number of lookups."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed (0 if never accessed)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
 
 class SetAssociativeCache:
     """A set-associative cache array with LRU replacement."""

@@ -161,10 +161,6 @@ class Scheduler:
         thread.state = state
         thread.stats.context_switches += 1
 
-    def runnable_count(self) -> int:
-        """Ready threads across all queues (diagnostics)."""
-        return sum(len(queue) for queue in self.run_queues)
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------

@@ -67,18 +67,6 @@ class SimThread:
     ops_fetched: int = 0
     stats: ThreadStats = field(default_factory=ThreadStats)
 
-    def pending_ops(self) -> bool:
-        """Whether buffered operations remain."""
-        return self.op_index < len(self.op_buffer)
-
-    def next_op(self):
-        """Return the next buffered operation without consuming it."""
-        return self.op_buffer[self.op_index]
-
-    def consume_op(self) -> None:
-        """Advance past the current operation."""
-        self.op_index += 1
-
     def refill(self) -> bool:
         """Fetch the next operation segment from the program.
 

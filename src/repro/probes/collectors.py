@@ -55,14 +55,6 @@ class CacheTrafficProbe:
         self.latency_ns_total += latency_ns
         self.hot_blocks[block] += 1
 
-    def by_source_name(self) -> dict[str, int]:
-        """Transaction counts keyed by access-source name."""
-        return {
-            SOURCE_NAMES[code]: count
-            for code, count in enumerate(self.by_source)
-            if count
-        }
-
 
 class LockContentionProbe:
     """Per-lock contention: how often threads block, and hand-off pairs."""
@@ -76,10 +68,6 @@ class LockContentionProbe:
             self.blocks[lock_id] += 1
         else:
             self.handoffs[lock_id] += 1
-
-    def hottest(self, n: int = 5) -> list[tuple[int, int]]:
-        """The ``n`` most-blocked-on lock ids as (lock_id, blocks)."""
-        return self.blocks.most_common(n)
 
 
 class ScheduleTraceProbe:
@@ -171,8 +159,3 @@ class TransactionLogProbe:
 
     def on_txn(self, now, tid, type_id) -> None:
         self.completions.append((now, tid, type_id))
-
-    def latencies_between(self) -> list[int]:
-        """Inter-completion gaps in nanoseconds (throughput jitter)."""
-        times = [now for now, _, _ in self.completions]
-        return [b - a for a, b in zip(times, times[1:])]

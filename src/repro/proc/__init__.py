@@ -16,7 +16,6 @@ loop: ``instruction_time``, ``load_stall`` and ``store_stall``.
 """
 
 from repro.proc.branch import (
-    BranchSample,
     CascadedIndirectPredictor,
     ReturnAddressStack,
     YagsPredictor,
@@ -34,7 +33,6 @@ def make_core(config, node: int) -> CoreModel:
 
 
 __all__ = [
-    "BranchSample",
     "CascadedIndirectPredictor",
     "ReturnAddressStack",
     "YagsPredictor",

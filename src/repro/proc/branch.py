@@ -14,18 +14,6 @@ obtain its misprediction rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BranchSample:
-    """One sampled branch: its (synthetic) PC and resolved behaviour."""
-
-    pc: int
-    taken: bool
-    kind: str = "cond"  # "cond" | "indirect" | "call" | "return"
-    target: int = 0
-
 
 class _CounterTable:
     """A table of saturating two-bit counters, weakly-taken initialised."""

@@ -15,7 +15,12 @@ import urllib.request
 
 
 class ServiceClientError(RuntimeError):
-    """The server rejected a request (carries its error message)."""
+    """The server rejected a request (carries its error message and the
+    HTTP ``status``: 400 means the request itself was illegal)."""
+
+    def __init__(self, message: str, status: int) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _url(host: str, port: int, path: str) -> str:
@@ -27,7 +32,7 @@ def _raise_for_error(exc: urllib.error.HTTPError):
         detail = json.loads(exc.read().decode("utf-8")).get("error", str(exc))
     except Exception:  # noqa: BLE001 -- error body is best-effort
         detail = str(exc)
-    raise ServiceClientError(detail) from exc
+    raise ServiceClientError(detail, exc.code) from exc
 
 
 def submit_campaign(
@@ -51,16 +56,23 @@ def submit_campaign(
         _raise_for_error(exc)
 
 
-def campaign_status(host: str, port: int, campaign_id: str, *,
-                    timeout: float = 30.0) -> dict:
-    """GET one campaign's status snapshot."""
+def _get_json(host: str, port: int, path: str, timeout: float) -> dict:
     try:
-        with urllib.request.urlopen(
-            _url(host, port, f"/api/status?id={campaign_id}"), timeout=timeout
-        ) as response:
+        with urllib.request.urlopen(_url(host, port, path), timeout=timeout) as response:
             return json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         _raise_for_error(exc)
+
+
+def campaign_status(host: str, port: int, campaign_id: str, *,
+                    timeout: float = 30.0) -> dict:
+    """GET one campaign's status snapshot."""
+    return _get_json(host, port, f"/api/status?id={campaign_id}", timeout)
+
+
+def list_campaigns(host: str, port: int, *, timeout: float = 30.0) -> dict:
+    """GET every campaign with its state counts."""
+    return _get_json(host, port, "/api/campaigns", timeout)
 
 
 def watch_campaign(host: str, port: int, campaign_id: str, *,

@@ -65,6 +65,10 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
 def spec_from_dict(data: dict) -> CampaignSpec:
     """Rebuild a campaign spec from its wire form (inverse of
     :func:`spec_to_dict`)."""
+    if not isinstance(data, dict):
+        raise ServiceError(
+            f"campaign spec must be a JSON object, not {type(data).__name__}"
+        )
     version = data.get("version", PROTOCOL_VERSION)
     if version != PROTOCOL_VERSION:
         raise ServiceError(
@@ -123,6 +127,10 @@ def enumerate_cells(spec: CampaignSpec, store=None) -> list[Cell]:
     backend pass and already-satisfied cells come back ``cached=True``
     -- the submit-side dedup that keeps N tenants from ever re-running
     one another's grid points.
+
+    A campaign's cells are keyed by their run keys, so a spec that lists
+    one configuration (or workload) twice does not decompose: it is
+    refused here, naming both grid points.
     """
     if spec.stop_rule is not None:
         raise ServiceError("adaptive specs cannot be decomposed into cells")
@@ -137,6 +145,15 @@ def enumerate_cells(spec: CampaignSpec, store=None) -> list[Cell]:
         )
         for ci, wi, label, wspec, seed, key in spec.grid()
     ]
+    first: dict[str, Cell] = {}
+    for cell in cells:
+        twin = first.setdefault(cell.run_key, cell)
+        if twin is not cell:
+            raise ServiceError(
+                f"configurations {twin.config_label!r} and {cell.config_label!r} name "
+                f"the same run ({cell.workload}, seed {cell.seed}): list each "
+                "configuration and workload once"
+            )
     if store is not None:
         present = store.backend.contains_many([c.run_key for c in cells])
         cells = [replace(cell, cached=cell.run_key in present) for cell in cells]

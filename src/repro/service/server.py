@@ -48,6 +48,23 @@ WATCH_POLL_S = 0.2
 REAPER_PERIOD_S = 2.0
 
 
+def decode_submission(body) -> tuple[dict, int]:
+    """Split a ``POST /api/submit`` body into ``(spec wire form,
+    max_attempts)``: the body is the spec itself, or wraps it as
+    ``{"spec": ..., "max_attempts": N}``."""
+    if not isinstance(body, dict):
+        raise ServiceError(f"submission must be a JSON object, not {type(body).__name__}")
+    if "spec" not in body:
+        return body, DEFAULT_MAX_ATTEMPTS
+    max_attempts = body.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
+    # bool is an int subclass, and true is not an attempt count
+    if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) or max_attempts < 1:
+        raise ServiceError(
+            f"max_attempts must be an integer of at least 1, not {json.dumps(max_attempts)}"
+        )
+    return body["spec"], max_attempts
+
+
 class CampaignService:
     """The HTTP-independent service core (also used directly by tests)."""
 
@@ -55,14 +72,12 @@ class CampaignService:
         self.store = store
         self.queue = queue
 
-    def submit(self, body: dict) -> dict:
-        """Decompose, dedup, and enqueue one submitted study."""
-        if "spec" in body:
-            spec_dict = body["spec"]
-            max_attempts = int(body.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
-        else:
-            spec_dict = body
-            max_attempts = DEFAULT_MAX_ATTEMPTS
+    def submit(self, body) -> dict:
+        """Decompose, dedup, and enqueue one submitted study.
+
+        ``body`` is outside input: anything wrong with it is a
+        :class:`ServiceError` raised before the queue is touched."""
+        spec_dict, max_attempts = decode_submission(body)
         spec = spec_from_dict(spec_dict)
         cells = enumerate_cells(spec, self.store)
         campaign_id = self.queue.submit(

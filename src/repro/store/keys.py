@@ -70,15 +70,14 @@ def run_key(
     ``warmup_mode`` is how a cold boot's warm-up leg executes (``"timed"``
     or ``"functional"``, see :mod:`repro.core.ffwd`); it perturbs the
     post-warm-up state, so it is part of the run's cause.  ``fidelity``
-    is the execution tier (``"ffwd"``/``"simple"``/``"ooo"``, see
+    is the execution tier (``"simple"``/``"ooo"``, see
     :mod:`repro.core.fidelity`): a simple-tier run substitutes the
-    SimpleCore for the configured model and a ffwd-tier run only
-    estimates timing, so neither may ever alias the full-fidelity
-    result of the same nominal configuration.  ``sampling_mode`` is how
-    the measured region is observed (``"fixed"`` -- one contiguous
-    timed window -- or ``"live"``, the phase-detecting stratified
-    sampler of :mod:`repro.core.livesample`, which estimates the same
-    region from a subset of timed windows); an estimated result must
+    SimpleCore for the configured model, so it may never alias the
+    full-fidelity result of the same nominal configuration.
+    ``sampling_mode`` is how the measured region is observed
+    (``"fixed"`` -- one contiguous timed window -- or ``"live"``, the
+    phase-detecting stratified sampler of :mod:`repro.core.livesample`,
+    which estimates the same region from a subset of timed windows); an estimated result must
     never alias the exhaustively-timed one.  All three are folded in
     only at non-default values (:func:`repro.core.request.fold_modes`),
     keeping every pre-existing key byte-identical.

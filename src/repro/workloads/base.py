@@ -97,11 +97,6 @@ class StreamMemoStats:
     misses: int = 0
     ops_reused: int = 0
 
-    @property
-    def builds_saved(self) -> int:
-        """Number of build_transaction calls the memo avoided."""
-        return self.hits
-
 
 _MEMO_STATS = StreamMemoStats()
 

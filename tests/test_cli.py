@@ -187,14 +187,10 @@ class TestIllegalArguments:
              "space: warm_start needs run.warmup_transactions > 0"),
             (["space", "--runs", "0", "--txns", "5", "--cpus", "2"],
              "space: n_runs must be positive"),
-            (["space", "--txns", "5", "--warmup", "5", "--sampling-mode", "live",
-              "--fidelity", "ffwd"],
-             "space: sampling_mode='live' places timed measurement windows"),
             (["campaign", "--vary", "dram", "--dry-run"],
              "campaign: --vary needs --values"),
         ],
-        ids=["warm-start-without-warmup", "zero-runs", "live-on-ffwd",
-             "vary-without-values"],
+        ids=["warm-start-without-warmup", "zero-runs", "vary-without-values"],
     )
     def test_exit_2_with_one_line(self, argv, message, capsys):
         assert main(argv) == 2

@@ -1,4 +1,4 @@
-"""The mixed-fidelity escalation ladder and the ffwd measurement tier."""
+"""The mixed-fidelity escalation ladder."""
 
 import json
 import os
@@ -16,87 +16,12 @@ from repro.core.fidelity import (
     EscalationPolicy,
     _conclude,
     config_family,
-    measure_functional,
     run_escalated_campaign,
     sentinel_indices,
 )
-from repro.core.request import RunRequest, WorkloadSpec, execute_request
+from repro.core.request import WorkloadSpec
 from repro.core.sampling import AdaptiveStopRule
 from repro.store import RunStore
-
-
-def ffwd_request(seed=7, **kwargs):
-    return RunRequest(
-        config=SystemConfig(),
-        workload=WorkloadSpec.resolve("oltp"),
-        run=RunConfig(measured_transactions=40, warmup_transactions=10, seed=seed),
-        fidelity="ffwd",
-        **kwargs,
-    )
-
-
-class TestMeasureFunctional:
-    def test_deterministic_across_perturbation_seeds(self):
-        """Functional execution draws no perturbation: every seed of an
-        ffwd sample is the same run (the tier measures structure, not
-        variability)."""
-        a = execute_request(ffwd_request(seed=7))
-        b = execute_request(ffwd_request(seed=8))
-        assert a.cycles_per_transaction == b.cycles_per_transaction
-        assert a.seed == 7 and b.seed == 8
-
-    def test_result_shape_matches_timed_runs(self):
-        timed = execute_request(ffwd_request().with_fidelity("ooo"))
-        ffwd = execute_request(ffwd_request())
-        # same stats vocabulary (plus the estimated-timing marker), so
-        # analysis code consumes either without branching
-        assert set(timed.stats) | {"estimated_timing"} == set(ffwd.stats)
-        assert ffwd.stats["estimated_timing"] is True
-        assert ffwd.measured_transactions == 40
-        assert ffwd.cycles_per_transaction > 0
-
-    def test_estimate_prices_hierarchy_events(self):
-        """The cycle estimate is the latency-weighted event sum: doubling
-        the configured DRAM latency must raise the estimate."""
-        base = execute_request(ffwd_request())
-        slow = replace(
-            ffwd_request(), config=SystemConfig().with_dram_latency(360)
-        )
-        assert (
-            execute_request(slow).cycles_per_transaction
-            > base.cycles_per_transaction
-        )
-
-    def test_empty_window_rejected(self):
-        """A machine that makes no forward progress (e.g. a stalled
-        workload) must raise, not divide by zero."""
-
-        class StuckStats:
-            l1_hits = l2_hits = l2_misses = 0
-            memory_fetches = cache_to_cache = upgrades = writebacks = 0
-
-        class StuckHierarchy:
-            stats = StuckStats()
-
-            def seed_perturbation(self, seed):
-                pass
-
-        class StuckClock:
-            now = 0
-
-        class StuckMachine:
-            hierarchy = StuckHierarchy()
-            clock = StuckClock()
-            completed_transactions = 0
-            timed_out = True
-
-            def fast_forward_transactions(self, total, max_time_ns):
-                return 0
-
-        config = SystemConfig()
-        run = RunConfig(measured_transactions=50, warmup_transactions=0)
-        with pytest.raises(ValueError, match="no transactions"):
-            measure_functional(StuckMachine(), config, run)
 
 
 class TestEscalationPolicy:

@@ -1,6 +1,9 @@
 """The public API surface: everything advertised must exist and import."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,88 @@ class TestPublicDocstrings:
 
         for item in (Machine, Checkpoint, SimulationResult, SystemConfig):
             assert item.__doc__
+
+
+# ----------------------------------------------------------------------
+# Dead names: everything defined in src/repro is mentioned somewhere
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parent.parent
+
+#: names nothing in the repository mentions because a framework calls
+#: them by name; each entry says which
+CALLED_BY_A_FRAMEWORK = {
+    "do_GET": "http.server dispatches GET requests to it",
+    "do_POST": "http.server dispatches POST requests to it",
+    "log_message": "http.server calls it for every request line",
+    "run": "threading.Thread.start() calls it (service.worker._Heartbeat)",
+    "on_cache": "ProbeBus.attach looks a collector's on_<hook> methods up by built name",
+}
+
+
+def mentions(tree: ast.AST):
+    """``(name, line)`` for every mention of an identifier in ``tree``:
+    a bare name, an attribute, a keyword, or a string that spells an
+    identifier or dotted path (``getattr(obj, "name")``, a by-name wrap)
+    -- but not an import statement and not an ``__all__`` list."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            skipped.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
+def definitions(tree: ast.AST):
+    """Module-level functions and classes, and the classes' public methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, kinds[:2]) and not member.name.startswith("_"):
+                        yield member
+
+
+def test_no_unreferenced_names():
+    """A module-level function or class, or a public method, that nothing
+    mentions outside its own definition, import statements and
+    ``__all__`` lists -- not ``src/``, a test, a benchmark or an example
+    -- is dead: delete it rather than maintain it."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for root in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((REPO / root).rglob("*.py"))
+    }
+    mentioned: dict[str, list] = {}
+    for path, tree in trees.items():
+        if path == Path(__file__):
+            continue  # the allowlist above is not a use
+        for name, line in mentions(tree):
+            mentioned.setdefault(name, []).append((path, line))
+    dead = []
+    for path, tree in trees.items():
+        if REPO / "src" not in path.parents:
+            continue
+        for node in definitions(tree):
+            outside = [
+                (where, line)
+                for where, line in mentioned.get(node.name, ())
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside and node.name not in CALLED_BY_A_FRAMEWORK:
+                dead.append(f"{path.relative_to(REPO)}:{node.lineno} {node.name}")
+    assert not dead, "defined but never mentioned:\n" + "\n".join(dead)

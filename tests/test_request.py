@@ -163,16 +163,13 @@ class TestKeyStability:
     @settings(max_examples=25, deadline=None)
     @given(config=configs(), run=run_configs(), wspec=workload_specs())
     def test_tier_and_mode_combinations_never_collide(self, config, run, wspec):
-        """Every valid (fidelity, warmup_mode, sampling_mode) combination
-        keys distinctly -- the never-mix rule, as injectivity of the key
-        function.  (live + ffwd is rejected at construction, so it is
-        excluded rather than keyed.)"""
+        """Every (fidelity, warmup_mode, sampling_mode) combination keys
+        distinctly -- the never-mix rule, as injectivity of the key
+        function."""
         keys = {}
         for fidelity in FIDELITY_TIERS:
             for mode in ("timed", "functional"):
                 for sampling in ("fixed", "live"):
-                    if sampling == "live" and fidelity == "ffwd":
-                        continue
                     request = RunRequest(
                         config=config,
                         workload=wspec,
@@ -282,10 +279,6 @@ class TestRunRequest:
         with pytest.raises(ValueError, match="unknown sampling_mode 'psychic'"):
             self.request(sampling_mode="psychic")
 
-    def test_live_sampling_rejects_ffwd_fidelity(self):
-        with pytest.raises(ValueError, match="no timed execution"):
-            self.request(sampling_mode="live", fidelity="ffwd")
-
     def test_with_seed_changes_only_the_seed(self):
         request = self.request()
         reseeded = request.with_seed(42)
@@ -314,13 +307,12 @@ class TestRunRequest:
         assert "sampling_mode" not in data
 
     def test_picklable(self):
-        request = self.request(fidelity="ffwd")
+        request = self.request(fidelity="simple")
         assert pickle.loads(pickle.dumps(request)) == request
 
     def test_effective_config_substitutes_model_only_for_simple(self):
         ooo = SystemConfig().with_rob_entries(64)
         assert effective_config(ooo, "ooo") is ooo
-        assert effective_config(ooo, "ffwd") is ooo
         simple = effective_config(ooo, "simple")
         assert simple.processor.model == "simple"
         assert simple.memory == ooo.memory

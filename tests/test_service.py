@@ -149,13 +149,6 @@ class TestWireProtocol:
         ):
             spec_from_dict(data)
 
-    def test_live_with_ffwd_rejected_at_submit(self):
-        data = spec_to_dict(small_spec())
-        data["sampling_mode"] = "live"
-        data["fidelity"] = "ffwd"
-        with pytest.raises(ServiceError, match="ffwd"):
-            spec_from_dict(data)
-
     def test_sampling_mode_round_trips(self):
         from dataclasses import replace
 
@@ -211,6 +204,64 @@ class TestDifferential:
         served = RunStore(tmp_path / "b", backend=backend)
         service_run(spec, served)
         assert_stores_identical(inproc, served)
+
+
+def twice_listed_spec():
+    """One configuration under two labels: both cells share every run key."""
+    from dataclasses import replace
+
+    return replace(small_spec(), configs=[("assoc=2", BASE), ("assoc=2 again", BASE)])
+
+
+#: (POST /api/submit body, what the one-line refusal must say)
+MALFORMED_SUBMISSIONS = {
+    "list-body": ([], "submission must be a JSON object, not list"),
+    "string-body": ("x", "submission must be a JSON object, not str"),
+    "list-spec": ({"spec": []}, "campaign spec must be a JSON object, not list"),
+    "attempts-text": (
+        {"spec": spec_to_dict(small_spec()), "max_attempts": "abc"},
+        "max_attempts must be an integer of at least 1, not \"abc\"",
+    ),
+    "attempts-null": (
+        {"spec": spec_to_dict(small_spec()), "max_attempts": None},
+        "max_attempts must be an integer of at least 1, not null",
+    ),
+    "attempts-zero": (
+        {"spec": spec_to_dict(small_spec()), "max_attempts": 0},
+        "max_attempts must be an integer of at least 1, not 0",
+    ),
+    "one-config-two-labels": (
+        spec_to_dict(twice_listed_spec()),
+        "configurations 'assoc=2' and 'assoc=2 again' name the same run (oltp, seed 100)",
+    ),
+}
+
+
+class TestMalformedSubmissions:
+    """Outside input the service cannot honour is a one-line
+    :class:`ServiceError` before the queue is touched, never a Python
+    exception name out of the handler's catch-all."""
+
+    @pytest.mark.parametrize(
+        "body, message", MALFORMED_SUBMISSIONS.values(), ids=MALFORMED_SUBMISSIONS
+    )
+    def test_submit_refuses_with_one_line(self, tmp_path, body, message):
+        from repro.service.server import CampaignService
+
+        store = RunStore(tmp_path, backend="sqlite")
+        queue = WorkQueue(store.root / "queue.sqlite")
+        with pytest.raises(ServiceError) as caught:
+            CampaignService(store, queue).submit(body)
+        assert str(caught.value).startswith(message)
+        assert "\n" not in str(caught.value)
+        assert queue.campaigns() == []  # no half-written campaign
+
+    def test_in_process_campaign_serves_the_second_label_from_the_store(self, tmp_path):
+        """The refusal is the queue's (cells are keyed by run key), not
+        the spec's: in process the same grid runs each seed once."""
+        store = RunStore(tmp_path, backend="dir")
+        report = Campaign(twice_listed_spec(), store).run()
+        assert [(cell.executed, cell.cached_hits) for cell in report.cells] == [(2, 0), (0, 2)]
 
 
 class TestDedup:
@@ -399,6 +450,25 @@ class TestHTTP:
         host, port = httpd.server_address
         with pytest.raises(ServiceClientError, match="malformed"):
             submit_campaign(host, port, {"configs": "nonsense"})
+
+    def test_malformed_submissions_are_http_400(self, server):
+        import urllib.error
+        import urllib.request
+
+        httpd, _, queue = server
+        host, port = httpd.server_address
+        for body, message in MALFORMED_SUBMISSIONS.values():
+            request = urllib.request.Request(
+                f"http://{host}:{port}/api/submit",
+                data=json.dumps(body).encode("utf-8"),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert caught.value.code == 400
+            reply = json.loads(caught.value.read())
+            assert set(reply) == {"error"} and reply["error"].startswith(message)
+        assert queue.campaigns() == []
 
     def test_watch_replays_history_for_late_watcher(self, server):
         from repro.service.client import submit_campaign, watch_campaign
