@@ -7,9 +7,8 @@ significance levels (the content of Figure 11), and reports the
 wrong-conclusion bound (the smallest level at which H0 is rejected).
 """
 
-from scipy import stats as scipy_stats
-
 from repro.analysis.tables import format_table
+from repro.core.distributions import t_quantile
 from repro.core.hypothesis import TABLE5_LEVELS, two_sample_t_test
 
 from benchmarks import common
@@ -20,7 +19,7 @@ def run_experiment() -> dict:
     samples = experiment2_samples()
     result = two_sample_t_test(samples[32].values, samples[64].values)
     criticals = {
-        alpha: float(scipy_stats.t.ppf(1 - alpha, result.degrees_of_freedom))
+        alpha: t_quantile(1 - alpha, result.degrees_of_freedom)
         for alpha in TABLE5_LEVELS
     }
     return {"test": result, "criticals": criticals}

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
+from repro.core.distributions import f_sf
 from repro.core.metrics import mean
 
 
@@ -125,7 +124,7 @@ def two_way_anova(cells: Sequence[Sequence[Sequence[float]]]) -> TwoWayAnovaResu
         if ss_within == 0:
             return (float("inf") if ss > 0 else 0.0, 0.0 if ss > 0 else 1.0)
         f = (ss / df) / (ss_within / df_within)
-        return f, float(_scipy_stats.f.sf(f, df, df_within))
+        return f, f_sf(f, df, df_within)
 
     f_a, p_a = f_and_p(ss_a, df_a)
     f_b, p_b = f_and_p(ss_b, df_b)
@@ -174,7 +173,7 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> AnovaResult:
         p_value = 0.0 if ss_between > 0 else 1.0
     else:
         f_statistic = (ss_between / df_between) / (ss_within / df_within)
-        p_value = float(_scipy_stats.f.sf(f_statistic, df_between, df_within))
+        p_value = f_sf(f_statistic, df_between, df_within)
     return AnovaResult(
         ss_between=ss_between,
         ss_within=ss_within,

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
+from repro.core.distributions import normal_sf
 from repro.core.metrics import coefficient_of_variation
 
 
@@ -120,7 +119,7 @@ def wrong_conclusion_probability(
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
     z = relative_difference / (cov * math.sqrt(2.0 / n_runs))
-    return float(_scipy_stats.norm.sf(z))
+    return normal_sf(z)
 
 
 def allocate_budget(

@@ -23,24 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
+from repro.core.distributions import NORMAL_APPROXIMATION_N, critical_deviate
 from repro.core.metrics import mean, sample_stddev
-
-#: above this sample size the paper switches from t to the normal deviate
-NORMAL_APPROXIMATION_N = 50
 
 
 def critical_t(confidence: float, n: int) -> float:
     """Two-sided critical deviate for the given confidence and sample size."""
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if n < 2:
-        raise ValueError("need at least two observations")
-    upper = 1 - (1 - confidence) / 2
-    if n < NORMAL_APPROXIMATION_N:
-        return float(_scipy_stats.t.ppf(upper, df=n - 1))
-    return float(_scipy_stats.norm.ppf(upper))
+    return critical_deviate(confidence, n - 1)
 
 
 @dataclass(frozen=True)
@@ -113,5 +102,5 @@ def estimate_sample_size(
         raise ValueError("coefficient of variation must be positive")
     if relative_error <= 0:
         raise ValueError("relative error must be positive")
-    deviate = float(_scipy_stats.norm.ppf(1 - (1 - confidence) / 2))
+    deviate = critical_deviate(confidence)  # the normal one: Cochran's convention
     return math.ceil((deviate * coefficient_of_variation / relative_error) ** 2)

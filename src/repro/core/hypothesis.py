@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
+from repro.core.distributions import t_sf
 from repro.core.metrics import mean, sample_stddev
 
 #: the significance levels of the paper's Table 5
@@ -81,7 +80,7 @@ def two_sample_t_test(
         df = numerator / denominator
     else:
         df = n_a + n_b - 2
-    p_value = float(_scipy_stats.t.sf(statistic, df))
+    p_value = t_sf(statistic, df)
     return TTestResult(
         statistic=statistic,
         degrees_of_freedom=df,

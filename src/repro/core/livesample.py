@@ -43,10 +43,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from scipy import stats as _scipy_stats
-
 from repro.config import RunConfig, SystemConfig
-from repro.core.confidence import NORMAL_APPROXIMATION_N, ConfidenceInterval
+from repro.core.confidence import ConfidenceInterval
+from repro.core.distributions import critical_deviate
 from repro.core.metrics import mean, sample_stddev
 
 # ---------------------------------------------------------------------------
@@ -426,8 +425,7 @@ def _projected_half_width(
     variance = sum(
         (w * s) ** 2 / n for w, s, n in zip(weights, stddevs, counts) if n > 0
     )
-    deviate = float(_scipy_stats.norm.ppf(1 - (1 - confidence) / 2))
-    return deviate * math.sqrt(variance)
+    return critical_deviate(confidence) * math.sqrt(variance)
 
 
 # ---------------------------------------------------------------------------
@@ -482,28 +480,15 @@ def stratified_confidence_interval(
     ]
     variance = sum(terms)
     total_n = sum(counts)
-    if variance == 0:
-        return ConfidenceInterval(
-            mean=overall,
-            lower=overall,
-            upper=overall,
-            confidence=confidence,
-            n=total_n,
-        )
     # Satterthwaite: only strata with a real variance estimate contribute
-    # degrees of freedom.
+    # degrees of freedom (none does when every variance is zero).
     dof_denominator = sum(
         term**2 / (n - 1)
         for term, n, s in zip(terms, counts, measured_stds)
         if s is not None and n >= 2
     )
     dof = variance**2 / dof_denominator if dof_denominator > 0 else total_n - 1
-    upper_p = 1 - (1 - confidence) / 2
-    if dof + 1 < NORMAL_APPROXIMATION_N:
-        deviate = float(_scipy_stats.t.ppf(upper_p, df=dof))
-    else:
-        deviate = float(_scipy_stats.norm.ppf(upper_p))
-    margin = deviate * math.sqrt(variance)
+    margin = critical_deviate(confidence, dof) * math.sqrt(variance)
     return ConfidenceInterval(
         mean=overall,
         lower=overall - margin,

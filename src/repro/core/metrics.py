@@ -67,11 +67,16 @@ class VariabilitySummary:
     range_of_variability: float
     n_timed_out: int = 0
 
+    def percent(self, value: float) -> str:
+        """A variability figure for display; one run has none to show."""
+        return f"{value:.2f}%" if self.n >= 2 else "n/a"
+
     def __str__(self) -> str:
         text = (
-            f"n={self.n} mean={self.mean:.4g} sd={self.stddev:.3g} "
-            f"CoV={self.coefficient_of_variation:.2f}% "
-            f"range={self.range_of_variability:.2f}%"
+            f"n={self.n} mean={self.mean:.4g} "
+            f"sd={f'{self.stddev:.3g}' if self.n >= 2 else 'n/a'} "
+            f"CoV={self.percent(self.coefficient_of_variation)} "
+            f"range={self.percent(self.range_of_variability)}"
         )
         if self.n_timed_out:
             text += f" TIMED-OUT={self.n_timed_out}"

@@ -80,8 +80,8 @@ class Survey:
                 [
                     entry.workload,
                     entry.measured_transactions,
-                    f"{entry.coefficient_of_variation:.2f}%",
-                    f"{entry.range_of_variability:.2f}%",
+                    entry.summary.percent(entry.coefficient_of_variation),
+                    entry.summary.percent(entry.range_of_variability),
                 ]
                 for entry in self.entries
             ],

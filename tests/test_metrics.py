@@ -65,6 +65,14 @@ class TestSummary:
         text = str(summarize([1.0, 2.0, 3.0]))
         assert "CoV" in text and "range" in text
 
+    def test_one_run_shows_no_variability_figures(self):
+        """'CoV=0.00%' from a single run is the fallacy the paper is
+        about: one run has no spread to report, not a spread of zero."""
+        summary = summarize([16670.0])
+        assert str(summary) == "n=1 mean=1.667e+04 sd=n/a CoV=n/a range=n/a"
+        assert summary.stddev == 0.0 and summary.coefficient_of_variation == 0.0
+        assert str(summarize([5.0, 5.0])).endswith("sd=0 CoV=0.00% range=0.00%")
+
 
 class TestProperties:
     @given(st.lists(FLOATS, min_size=2, max_size=50))

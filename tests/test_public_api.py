@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,47 @@ def test_no_unreferenced_names():
             if not outside and node.name not in CALLED_BY_A_FRAMEWORK:
                 dead.append(f"{path.relative_to(REPO)}:{node.lineno} {node.name}")
     assert not dead, "defined but never mentioned:\n" + "\n".join(dead)
+
+
+# ----------------------------------------------------------------------
+# A stdlib-only runtime: importing the package loads nothing third-party
+# ----------------------------------------------------------------------
+#: top-level ``sys.modules`` names of a fresh interpreter that are neither
+#: standard library nor ours; each entry says who puts it there
+NOT_IMPORTED_BY_US = {
+    "__main__": "the interpreter's own entry module",
+    "__mp_main__": "the stdlib's multiprocessing aliases __main__ to it on import",
+    "_distutils_hack": "setuptools' site .pth file imports it before any user code",
+}
+#: likewise, by prefix: the build's config data, loaded by the stdlib's sysconfig
+SYSCONFIG_DATA = "_sysconfigdata_"
+
+
+def test_runtime_imports_only_the_standard_library():
+    """``dependencies = []`` is true: a fresh interpreter that imports the
+    library, the CLI and the service holds only stdlib and ``repro``
+    modules (DESIGN section 19).  A lazy import would pass this and pay
+    at first use, which is why ``src/`` has none to find."""
+    code = (
+        "import sys, repro, repro.cli, repro.service\n"
+        "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    foreign = [
+        name
+        for name in done.stdout.split()
+        if name not in sys.stdlib_module_names
+        and name != "repro"
+        and name not in NOT_IMPORTED_BY_US
+        and not name.startswith(SYSCONFIG_DATA)
+    ]
+    assert not foreign, f"third-party modules loaded at import: {foreign}"
+    sources = [*(REPO / "src").rglob("*.py"), *(REPO / "examples").rglob("*.py"),
+               *(REPO / "benchmarks").glob("*.py")]
+    for path in sorted(sources):
+        assert not re.search(r"scipy|numpy", path.read_text()), path

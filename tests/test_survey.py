@@ -40,6 +40,11 @@ class TestSurveyContainer:
         survey = Survey(entries=[entry("a", [1.0, 1.1])])
         text = survey.render()
         assert "workload" in text and "a" in text and "CoV" in text
+        assert "6.73%" in text and "9.52%" in text and "n/a" not in text
+
+    def test_render_one_run_has_no_variability(self):
+        text = Survey(entries=[entry("a", [1.0])]).render()
+        assert text.count("n/a") == 2 and "0.00%" not in text
 
 
 class TestSurveyExecution:
