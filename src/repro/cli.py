@@ -269,34 +269,77 @@ def cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="run under cProfile and print the top functions by "
+             "cumulative time, then what the stream and branch-batch memos "
+             "reused (this process only: use --jobs 1; the profiler roughly "
+             "halves throughput; results are unchanged)",
+    )
+    parser.add_argument(
+        "--profile-top", type=int, default=25, metavar="N",
+        help="with --profile: number of functions to print (default 25)",
+    )
+    parser.add_argument(
+        "--profile-out", metavar="PATH",
+        help="with --profile: also dump raw pstats data to PATH for "
+             "offline analysis (python -m pstats PATH)",
+    )
+
+
+def _profiled(args: argparse.Namespace, execute):
+    """``execute()``, under cProfile when ``--profile`` was given.
+
+    The report goes to stdout, or to stderr when stdout carries
+    ``--json``; it is printed, never attached to the result.
+    """
+    if not args.profile:
+        return execute()
+    import cProfile
+    import pstats
+
+    from repro.proc.base import branch_memo_stats
+    from repro.workloads.base import stream_memo_stats
+
+    out = sys.stderr if getattr(args, "json", False) else sys.stdout
+    profiler = cProfile.Profile()
+    result = profiler.runcall(execute)
+    profiler.create_stats()
+    if args.profile_out:
+        profiler.dump_stats(args.profile_out)
+    stats = pstats.Stats(profiler, stream=out)
+    stats.sort_stats(pstats.SortKey.CUMULATIVE)
+    stats.print_stats(args.profile_top)
+    if args.profile_out:
+        print(f"raw profile written to {args.profile_out}", file=out)
+    streams, batches = stream_memo_stats(), branch_memo_stats()
+    print(
+        f"stream memo : {streams.hits:,} of {streams.hits + streams.misses:,} "
+        f"transactions replayed ({streams.ops_reused:,} ops)",
+        file=out,
+    )
+    print(
+        f"branch memo : {batches.hits:,} of {batches.hits + batches.misses:,} "
+        f"sampled batches replayed ({batches.entries:,} held, "
+        f"{batches.clears} clears)",
+        file=out,
+    )
+    return result
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one measured simulation run and print its metrics."""
-
-    def execute():
-        return run_simulation(
+    result = _profiled(
+        args,
+        lambda: run_simulation(
             _base_config(args),
             args.workload,
             _run_config(args),
             workload_scale=args.scale,
             warmup_mode=args.warmup_mode,
-        )
-
-    if getattr(args, "profile", False):
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        result = profiler.runcall(execute)
-        profiler.create_stats()
-        if args.profile_out:
-            profiler.dump_stats(args.profile_out)
-        stats = pstats.Stats(profiler)
-        stats.sort_stats(pstats.SortKey.CUMULATIVE)
-        stats.print_stats(args.profile_top)
-        if args.profile_out:
-            print(f"raw profile written to {args.profile_out}")
-    else:
-        result = execute()
+        ),
+    )
     print(f"cycles per transaction : {result.cycles_per_transaction:,.0f}")
     print(f"simulated time         : {result.elapsed_ns:,} ns")
     print(f"throughput             : {result.transactions_per_second:,.0f} txn/s")
@@ -307,15 +350,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_space(args: argparse.Namespace) -> int:
     """Sample the space of perturbed runs and print the variability summary."""
-    sample = run_space(
-        _base_config(args),
-        _workload(args),
-        _run_config(args),
-        args.runs,
-        n_jobs=args.jobs,
-        warm_start=args.warm_start,
-        store=resolve_store(args.store, backend=args.store_backend),
-        **modes_of(args),
+    sample = _profiled(
+        args,
+        lambda: run_space(
+            _base_config(args),
+            _workload(args),
+            _run_config(args),
+            args.runs,
+            n_jobs=args.jobs,
+            warm_start=args.warm_start,
+            store=resolve_store(args.store, backend=args.store_backend),
+            **modes_of(args),
+        ),
     )
     if args.json:
         print(json.dumps(sample.to_dict(), indent=2))
@@ -753,21 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
              "scripts can pass --jobs to every subcommand uniformly)",
     )
     _add_mode_arguments(run_parser, "warmup_mode")
-    run_parser.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print the top functions by "
-             "cumulative time (the profiler roughly halves throughput; "
-             "metrics are still printed)",
-    )
-    run_parser.add_argument(
-        "--profile-top", type=int, default=25, metavar="N",
-        help="with --profile: number of functions to print (default 25)",
-    )
-    run_parser.add_argument(
-        "--profile-out", metavar="PATH",
-        help="with --profile: also dump raw pstats data to PATH for "
-             "offline analysis (python -m pstats PATH)",
-    )
+    _add_profile_arguments(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     space_parser = subparsers.add_parser(
@@ -791,6 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the serialized RunSample as JSON for scripting",
     )
     _add_mode_arguments(space_parser)
+    _add_profile_arguments(space_parser)
     space_parser.set_defaults(func=cmd_space)
 
     compare_parser = subparsers.add_parser(

@@ -19,22 +19,29 @@ The stream is *defined* as five independent ``hash_u64`` folds per branch
 code -- ``hash_u64(code_seed)``, the per-slot prefixes
 ``hash_u64(code_seed, slot)`` and each slot's fixed bias -- comes from
 :func:`code_tables`, and the ``(code_seed, counter)`` round is shared by
-the slot and kind draws.  :func:`branch_outcome` and the out-of-order
-core's sampling loop are the two readers of those tables.
+the slot and kind draws.  :func:`branch_outcome` and
+:func:`resolve_branch_batch` (what the out-of-order core samples) are
+the two readers of those tables; :func:`sampled_branches` memoises the
+latter, because every perturbed run from one checkpoint resolves the
+same batches.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.config import SystemConfig
-from repro.sim.rng import hash_extend, hash_u64
+from repro.sim.rng import _MASK64, hash_extend, hash_u64, splitmix64
 
 #: average instructions per branch in the synthetic instruction stream;
 #: every tier advances the branch counter by ``n // INSTRUCTIONS_PER_BRANCH``
 #: per batch, which is what keeps the stream position-exact across tiers
 INSTRUCTIONS_PER_BRANCH = 5
+#: most branches of one instruction batch that are resolved and pushed
+#: through the predictors (the out-of-order core's sample bound)
+BRANCH_SAMPLES_PER_BATCH = 6
 
 
 @dataclass
@@ -95,7 +102,12 @@ def code_tables(
     base_taken = tuple(
         hash_extend(acc, 17) % 1000 < taken_bias_milli for acc in slot_accs
     )
-    return seed_acc, (code_seed & 0xFFFF) << 20, slot_accs, base_taken
+    return seed_acc, code_pc_base(code_seed), slot_accs, base_taken
+
+
+def code_pc_base(code_seed: int) -> int:
+    """The PC bits a code's seed contributes to every branch address."""
+    return (code_seed & 0xFFFF) << 20
 
 
 def branch_outcome(ctx: BranchContext, counter: int) -> tuple[int, bool, str, int]:
@@ -124,6 +136,135 @@ def branch_outcome(ctx: BranchContext, counter: int) -> tuple[int, bool, str, in
     # Indirect targets: a small per-branch target set selected by phase.
     target = pc + 64 + (hash_extend(slot_acc, counter // 32, 23) % 4) * 64
     return pc, taken, kind, target
+
+
+# ----------------------------------------------------------------------
+# What replays share: the pure half of a sampled branch batch
+# ----------------------------------------------------------------------
+#
+# Which static branch a sampled branch is, its kind and its direction or
+# target are a pure function of the code's six static parameters and the
+# branch counter -- five SplitMix64 rounds per sample that every
+# perturbed run from one checkpoint, and every thread of one code,
+# repeats at the same counters.  A batch is therefore resolved once per
+# process into one word per sample and replayed from the memo below;
+# only the predictor updates (the stateful half, which stays in
+# ``OOOCore._sample_branches``) run every time.  DESIGN.md section 16
+# has the measured hit rates and the alternatives that were rejected.
+#
+# A sample's word is ``slot << 4 | selector << 2 | kind``: ``slot << 4``
+# is exactly the slot's PC bits, ``selector`` the direction of a
+# conditional (0/1) or the target selector of an indirect or return
+# (0..3).  Entries are ``bytes`` (one non-GC object each, like the
+# stream memo's), 2 bytes per sample while the slot fits 12 bits and 8
+# beyond.  Like ``code_tables`` the memo is process-local derived data:
+# never on a ``BranchContext``, in a snapshot, a key or a payload.
+
+KIND_COND, KIND_INDIRECT, KIND_RETURN = 0, 1, 2
+
+#: entries kept (~230 bytes each) before the memo is cleared and
+#: refilled.  The whole ledger grid (6 configurations x (warm-up + 8
+#: seeds)) in one process is 6.7k distinct batches; one cold
+#: 4,000-transaction run on 4 CPUs makes 26k, and holding them all
+#: (+6 MB) is no faster than clearing twice on the way (3.70 vs 3.73 s).
+BRANCH_MEMO_CAP = 16384
+
+_NARROW_SLOTS = 1 << 12
+_BATCH_WORDS = {
+    wide: tuple(
+        struct.Struct(f"<{samples}{code}")
+        for samples in range(BRANCH_SAMPLES_PER_BATCH + 1)
+    )
+    for wide, code in ((False, "H"), (True, "Q"))
+}
+_BATCH_MEMO: dict[tuple, bytes] = {}
+
+
+@dataclass
+class BranchMemoStats:
+    """Process-wide counters for the branch-batch memo."""
+
+    hits: int = 0
+    misses: int = 0
+    clears: int = 0
+
+    @property
+    def entries(self) -> int:
+        """Batches held right now (never above ``BRANCH_MEMO_CAP``)."""
+        return len(_BATCH_MEMO)
+
+
+_BATCH_STATS = BranchMemoStats()
+
+
+def branch_memo_stats() -> BranchMemoStats:
+    """The live process-wide memo counters (mutated in place)."""
+    return _BATCH_STATS
+
+
+def _reset_branch_memo(reset_stats: bool) -> None:
+    """Drop every memoised batch (the branch half of
+    :func:`repro.workloads.base.reset_stream_memo`, the one public reset)."""
+    _BATCH_MEMO.clear()
+    if reset_stats:
+        _BATCH_STATS.hits = _BATCH_STATS.misses = _BATCH_STATS.clears = 0
+
+
+def resolve_branch_batch(ctx: BranchContext, samples: int, stride: int) -> tuple[int, ...]:
+    """One word per sampled branch at ``ctx.counter``, ``+ stride``, ...
+
+    :func:`branch_outcome`'s stream, one SplitMix64 round per key: the
+    ``(code_seed, counter)`` round feeds both the slot and kind draws,
+    and only the draw this branch kind consumes is made (direction for
+    conditionals, target for indirects and returns).
+    """
+    static_branches = ctx.static_branches
+    seed_acc, _, slot_accs, base_taken = code_tables(
+        ctx.code_seed, static_branches, ctx.taken_bias_milli
+    )
+    flip_below = ctx.flip_noise_milli
+    indirect_below = ctx.indirect_milli
+    return_below = indirect_below + ctx.return_milli
+    mix = splitmix64
+    first = ctx.counter
+    words = []
+    for counter in range(first, first + samples * stride, stride):
+        key = counter & _MASK64
+        counter_acc = mix(seed_acc ^ key)
+        slot = mix(counter_acc ^ 11) % static_branches
+        kind_draw = mix(counter_acc ^ 13) % 1000
+        if kind_draw >= return_below:
+            flip = mix(mix(slot_accs[slot] ^ key) ^ 19) % 1000 < flip_below
+            words.append(slot << 4 | (base_taken[slot] != flip) << 2 | KIND_COND)
+        else:
+            phase = (counter // 32) & _MASK64
+            selector = mix(mix(slot_accs[slot] ^ phase) ^ 23) % 4
+            kind = KIND_INDIRECT if kind_draw < indirect_below else KIND_RETURN
+            words.append(slot << 4 | selector << 2 | kind)
+    return tuple(words)
+
+
+def sampled_branches(ctx: BranchContext, samples: int, stride: int) -> tuple[int, ...]:
+    """:func:`resolve_branch_batch`, memoised per process.
+
+    The key is what is sampled -- ``(counter, samples, stride)``, which
+    several batch sizes share -- under every field of the context (its
+    snapshot: the counter and all six statics), so two codes can never
+    alias and a context whose fields were edited simply misses.
+    """
+    key = ctx.snapshot() + (samples, stride)
+    packing = _BATCH_WORDS[ctx.static_branches > _NARROW_SLOTS][samples]
+    packed = _BATCH_MEMO.get(key)
+    if packed is not None:
+        _BATCH_STATS.hits += 1
+        return packing.unpack(packed)
+    _BATCH_STATS.misses += 1
+    words = resolve_branch_batch(ctx, samples, stride)
+    if len(_BATCH_MEMO) >= BRANCH_MEMO_CAP:
+        _BATCH_MEMO.clear()
+        _BATCH_STATS.clears += 1
+    _BATCH_MEMO[key] = packing.pack(*words)
+    return words
 
 
 class CoreModel:

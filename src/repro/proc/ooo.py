@@ -32,20 +32,21 @@ import math
 from repro.config import SystemConfig
 from repro.isa import SRC_L1
 from repro.proc.base import (
+    BRANCH_SAMPLES_PER_BATCH,
     INSTRUCTIONS_PER_BRANCH,
+    KIND_COND,
+    KIND_INDIRECT,
     BranchContext,
     CoreModel,
-    code_tables,
+    code_pc_base,
+    sampled_branches,
 )
 from repro.proc.branch import (
     CascadedIndirectPredictor,
     ReturnAddressStack,
     YagsPredictor,
 )
-from repro.sim.rng import _MASK64, splitmix64
 
-#: branches actually pushed through the predictors per instruction batch
-BRANCH_SAMPLES_PER_BATCH = 6
 #: smoothing for the misprediction-rate estimate used by the MLP window
 MISPREDICT_EWMA = 0.05
 #: MLP grows with the log of the instruction window beyond the width
@@ -97,6 +98,11 @@ class OOOCore(CoreModel):
         extrapolated from the sampled rate.  The context counter advances
         by the full branch count so the outcome stream is position-exact
         regardless of sample size.
+
+        Which branches the sample holds is the pure half
+        (:func:`repro.proc.base.sampled_branches`, shared by every replay
+        of these counters); what the predictors make of them is the
+        stateful half below.
         """
         if n_branches <= 0:
             return 0.0
@@ -104,33 +110,20 @@ class OOOCore(CoreModel):
         # Sample evenly across the batch so phase changes are seen.
         stride = n_branches // samples
         first = branch_ctx.counter
-        static_branches = branch_ctx.static_branches
-        seed_acc, pc_base, slot_accs, base_taken = code_tables(
-            branch_ctx.code_seed, static_branches, branch_ctx.taken_bias_milli
-        )
-        flip_below = branch_ctx.flip_noise_milli
-        indirect_below = branch_ctx.indirect_milli
-        return_below = indirect_below + branch_ctx.return_milli
-        mix = splitmix64
+        pc_base = code_pc_base(branch_ctx.code_seed)
         yags_update = self.yags.update
         sampled_mispredicts = 0
-        # branch_outcome's stream, one SplitMix64 round per key: the
-        # (code_seed, counter) round feeds both the slot and kind draws,
-        # and only the draw this branch kind consumes is made (direction
-        # for conditionals, target for indirects and returns).
-        for counter in range(first, first + samples * stride, stride):
-            key = counter & _MASK64
-            counter_acc = mix(seed_acc ^ key)
-            slot = mix(counter_acc ^ 11) % static_branches
-            kind_draw = mix(counter_acc ^ 13) % 1000
-            pc = pc_base | (slot << 4)
-            if kind_draw >= return_below:
-                flip = mix(mix(slot_accs[slot] ^ key) ^ 19) % 1000 < flip_below
-                mispredicted = yags_update(pc, base_taken[slot] != flip)
+        for counter, word in zip(
+            range(first, first + samples * stride, stride),
+            sampled_branches(branch_ctx, samples, stride),
+        ):
+            pc = pc_base | (word & ~0xF)
+            kind = word & 3
+            if kind == KIND_COND:
+                mispredicted = yags_update(pc, (word & 4) != 0)
             else:
-                phase = (counter // 32) & _MASK64
-                target = pc + 64 + (mix(mix(slot_accs[slot] ^ phase) ^ 23) % 4) * 64
-                if kind_draw < indirect_below:
+                target = pc + 64 + ((word >> 2) & 3) * 64
+                if kind == KIND_INDIRECT:
                     mispredicted = self.indirect.update(pc, target)
                 else:
                     # Pair each sampled return with a preceding call so the

@@ -4,15 +4,19 @@
 This module extends the same contract to an unbounded family: a
 SplitMix64 stream (:class:`repro.sim.rng.RandomStream`) drives every
 choice, so case ``(seed, index)`` is the same configuration forever, on
-every machine.  Each case is executed **twice** -- once with the full
-invariant suite attached and once bare -- and the two executions must
-produce identical sha256 digests over the complete observable outcome
-(end time, completion count, transaction log, hierarchy and scheduler
-counters).  One sweep therefore checks three things at once:
+every machine.  Each case is executed **twice** -- once memo-cold with
+the full invariant suite attached and once bare, served by the memos
+the first execution filled -- and the two executions must produce
+identical sha256 digests over the complete observable outcome (end
+time, completion count, transaction log, hierarchy, scheduler, core and
+branch-predictor counters).  One sweep therefore checks four things at
+once:
 
 1. every invariant holds on a configuration nobody hand-picked,
-2. the run is deterministic (re-running cannot diverge), and
-3. probes are bit-transparent (checking does not perturb).
+2. the run is deterministic (re-running cannot diverge),
+3. probes are bit-transparent (checking does not perturb), and
+4. the stream and branch-batch memos are bit-transparent (a replayed
+   transaction or branch batch is the one a cold process computes).
 
 Geometry is generated as sets x ways x block so every ``CacheConfig``
 is valid by construction; all levels share one block size because the
@@ -36,6 +40,7 @@ from repro.memory.coherence import available_protocols
 from repro.sim.rng import RandomStream, stream_seed
 from repro.system.machine import Machine, SimulationStall
 from repro.verify.invariants import attach_invariants
+from repro.workloads.base import reset_stream_memo
 from repro.workloads.registry import available_workloads, make_workload
 
 #: single-transaction barrier-phase workloads (one txn spans the run)
@@ -214,6 +219,18 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     )
 
 
+def _core_counters(core) -> tuple:
+    """Retired instructions plus, on an out-of-order core, what each
+    predictor was asked and got wrong: two runs that fed the predictors
+    different branches disagree here even when their end times agree."""
+    counters = [core.instructions_retired]
+    for name in ("yags", "indirect", "ras"):
+        predictor = getattr(core, name, None)
+        if predictor is not None:
+            counters += (predictor.predictions, predictor.mispredictions)
+    return tuple(counters)
+
+
 def _digest_state(machine: Machine, end_ns: int) -> str:
     """sha256 over the complete observable outcome of a run."""
     stats = machine.hierarchy.stats
@@ -226,6 +243,7 @@ def _digest_state(machine: Machine, end_ns: int) -> str:
             tuple(getattr(stats, name) for name in _STAT_FIELDS),
             machine.scheduler.dispatches,
             machine.scheduler.migrations,
+            tuple(_core_counters(core) for core in machine.cores),
         )
     )
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
@@ -255,9 +273,11 @@ def _run_once(case: FuzzCase, checked: bool) -> tuple[str, list[str]]:
 
 
 def run_case(case: FuzzCase) -> CaseResult:
-    """Double-run one case: checked, then bare; compare digests."""
+    """Double-run one case: checked and memo-cold, then bare and
+    memo-hot; compare digests."""
     result = CaseResult(case=case)
     try:
+        reset_stream_memo()
         result.digest_checked, result.violations = _run_once(case, checked=True)
         result.digest_bare, _ = _run_once(case, checked=False)
     except SimulationStall as exc:

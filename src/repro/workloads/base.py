@@ -35,11 +35,11 @@ every run; only its *timing context* differs.
 
 from __future__ import annotations
 
-from array import array
+import marshal
 from dataclasses import dataclass
 from typing import Any
 
-from repro.proc.base import BranchContext
+from repro.proc.base import BranchContext, _reset_branch_memo
 from repro.sim.rng import _GAMMA, _MASK64, _MIX1, _MIX2, hash_extend, hash_u64, stream_seed
 
 #: operations are plain tuples; this alias documents intent
@@ -64,7 +64,7 @@ Op = tuple
 #
 #   registry key:  (program class, tid, Workload.stream_key())
 #   entry key:     (txn_key, stream_token(), extra_state() before build)
-#   entry value:   (ops, extra_state() after build or None)
+#   entry value:   marshal.dumps((ops, extra_state() after build))
 #
 # ``stream_token()`` must cover every workload-clock read the builder
 # makes (the base implementation returns the raw clock value -- always
@@ -78,14 +78,9 @@ Op = tuple
 # engines read by index), so one list may be shared by any number of
 # machines in the process.
 #
-# The per-stream entry cap bounds footprint on long runs.
+# The per-stream cap (in transactions) bounds footprint on long runs.
 
 _MEMO_STREAM_CAP = 4096
-#: suffix distinguishing an entry's extra-state after-image from its op
-#: stream within one bucket (a sentinel string rather than an object()
-#: so exported memos stay picklable; extra-state values are ints, so it
-#: cannot collide with a real key)
-_AFTER = "\0after\0"
 _STREAM_MEMO: dict[tuple, dict] = {}
 
 
@@ -107,7 +102,9 @@ def stream_memo_stats() -> StreamMemoStats:
 
 
 def reset_stream_memo(reset_stats: bool = True) -> None:
-    """Drop all memoized streams (tests; long-lived campaign workers).
+    """Make the process memo-cold (tests; timed regions; long-lived
+    campaign workers): drop all memoized streams and, with them, the
+    out-of-order core's branch-batch memo (:mod:`repro.proc.base`).
 
     Buckets are emptied in place, not dropped from the registry: programs
     on live machines hold their bucket by reference, so they keep sharing
@@ -115,6 +112,7 @@ def reset_stream_memo(reset_stats: bool = True) -> None:
     """
     for bucket in _STREAM_MEMO.values():
         bucket.clear()
+    _reset_branch_memo(reset_stats)
     if reset_stats:
         _MEMO_STATS.hits = 0
         _MEMO_STATS.misses = 0
@@ -265,62 +263,43 @@ class WorkloadProgram:
         progress counter).  Callers guarantee returned sequences are
         never mutated.
 
-        Retention discipline: op streams are packed into ``array('q')``
-        buffers (ops are tuples of 2-3 ints; each is stored as ``len``
-        followed by its fields) and unpacked on hit.  The buffer is a
-        single non-GC object, so retaining thousands of streams is
-        invisible to the cycle collector.  An early revision retained
-        the op tuples themselves; the young-generation allocation
-        counter never receives the matching deallocation credit for
-        retained objects, so gen-0 collections fired ~7x as often and a
-        low-hit-rate (miss-dominated) run was ~15% slower than no memo
-        at all.  Unpacking costs ~2 allocations per op on each hit --
-        young objects that die with the op buffer -- which is still
-        ~30x cheaper than rebuilding the stream.  The entry key and the
-        extra-state after-image (a sibling entry under
-        ``key + (_AFTER,)``) are flat scalar tuples for the same
-        reason: flat tuples of ints/strs are untracked by the first
-        collection that sees them.
+        Retention discipline: an entry is one ``marshal`` blob of
+        ``(ops, extra-state after-image)``, unmarshalled on hit.  The
+        blob is a single non-GC object, so retaining thousands of
+        streams is invisible to the cycle collector.  An early revision
+        retained the op tuples themselves; the young-generation
+        allocation counter never receives the matching deallocation
+        credit for retained objects, so gen-0 collections fired ~7x as
+        often and a low-hit-rate (miss-dominated) run was ~15% slower
+        than no memo at all.  Unmarshalling costs ~2 allocations per op
+        on each hit -- young objects that die with the op buffer --
+        which is still ~30x cheaper than rebuilding the stream.  The
+        entry key is a flat scalar tuple for the same reason: flat
+        tuples of ints/strs are untracked by the first collection that
+        sees them.
         """
         extra = self.extra_state()
         entry_key = (key, self.stream_token())
         if extra:
             for item in sorted(extra.items()):
                 entry_key += item
-        packed = memo.get(entry_key)
-        if packed is not None:
-            after = memo.get(entry_key + (_AFTER,))
-            if after is not None:
-                self.restore_extra(dict(zip(after[::2], after[1::2])))
-            ops = []
-            i = 0
-            end = len(packed)
-            while i < end:
-                j = i + 1 + packed[i]
-                ops.append(tuple(packed[i + 1 : j]))
-                i = j
+        blob = memo.get(entry_key)
+        if blob is not None:
+            ops, after = marshal.loads(blob)
+            if after:
+                self.restore_extra(after)
             _MEMO_STATS.hits += 1
             _MEMO_STATS.ops_reused += len(ops)
             return ops
         ops = build()
         _MEMO_STATS.misses += 1
         if len(memo) < _MEMO_STREAM_CAP:
-            after = self.extra_state()
-            packed = array("q")
             try:
-                for op in ops:
-                    packed.append(len(op))
-                    packed.extend(op)
-            except (TypeError, OverflowError):
-                # Third-party generator emitting non-int (legacy string-
-                # kinded) op fields: serve it unmemoized.
-                return ops
-            memo[entry_key] = packed
-            if after:
-                flat: tuple = ()
-                for item in sorted(after.items()):
-                    flat += item
-                memo[entry_key + (_AFTER,)] = flat
+                memo[entry_key] = marshal.dumps((ops, self.extra_state()))
+            except ValueError:
+                # Third-party generator emitting op fields marshal cannot
+                # serialize: serve it unmemoized.
+                pass
         return ops
 
     def stream_token(self) -> Any:

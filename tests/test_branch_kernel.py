@@ -6,6 +6,11 @@ the predictor's public pieces, and the closed-form MLP factor -- and
 requires the product code to agree exactly, including the insertion
 order of the predictor dicts (``Checkpoint.digest`` hashes dicts in
 iteration order, so a reordered insert would move every warm key).
+
+The branch-batch memo (``repro.proc.base.sampled_branches``) is held to
+the same standard: a core served from the memo, from a memo another
+code filled, or across a clear-on-full must be indistinguishable from a
+memo-cold one.
 """
 
 from __future__ import annotations
@@ -16,8 +21,19 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ProcessorConfig, SystemConfig
-from repro.proc.base import BranchContext, branch_outcome
+from repro.config import ProcessorConfig, RunConfig, SystemConfig
+from repro.core.runner import run_space
+from repro.proc import base
+from repro.proc.base import (
+    KIND_COND,
+    KIND_INDIRECT,
+    KIND_RETURN,
+    BranchContext,
+    branch_memo_stats,
+    branch_outcome,
+    code_pc_base,
+    resolve_branch_batch,
+)
 from repro.proc.branch import YagsPredictor
 from repro.proc.ooo import (
     BRANCH_SAMPLES_PER_BATCH,
@@ -28,6 +44,9 @@ from repro.proc.ooo import (
     OOOCore,
 )
 from repro.sim.rng import hash_u64
+from repro.store import RunStore
+from repro.system.checkpoint import Checkpoint
+from repro.workloads.base import reset_stream_memo
 
 
 def reference_outcome(ctx: BranchContext, counter: int) -> tuple[int, bool, str, int]:
@@ -339,3 +358,200 @@ class TestMlpFollowsTheMispredictRate:
         assert fresh._mispredict_rate == warm._mispredict_rate
         assert_stalls_follow_rate(fresh)
         assert fresh.load_stall(180, "memory") == warm.load_stall(180, "memory")
+
+
+# ----------------------------------------------------------------------
+# The branch-batch memo
+# ----------------------------------------------------------------------
+OOO_CONFIG = SystemConfig(processor=ProcessorConfig(model="ooo", rob_entries=64))
+
+code_statics = st.fixed_dictionaries(
+    {
+        "code_seed": code_seeds,
+        # 4096 is the last static set whose slots pack into 16-bit words;
+        # 4097 is the first that takes the wide packing.
+        "static_branches": st.sampled_from([1, 7, 256, 1000, 4096, 4097]),
+        "taken_bias_milli": st.sampled_from([0, 300, 700, 1000]),
+        "flip_noise_milli": st.sampled_from([0, 40, 400, 1000]),
+        "indirect_milli": st.sampled_from([0, 30, 500]),
+        "return_milli": st.sampled_from([0, 60, 500]),
+    }
+)
+#: instruction batches: no branch at all, fewer than the sample bound,
+#: exactly the bound, and strides above one
+batch_sizes = st.lists(
+    st.one_of(st.integers(0, 40), st.integers(0, 2500)), min_size=1, max_size=40
+)
+
+
+def drive(statics: dict, start: int, batches: list[int]) -> tuple:
+    """A fresh core and context run ``batches``; everything observable."""
+    core = OOOCore(OOO_CONFIG, 0)
+    ctx = BranchContext(counter=start, **statics)
+    times = [core.instruction_time(n, ctx) for n in batches]
+    checkpoint = Checkpoint(
+        state={"core": core.snapshot(), "branch": ctx.snapshot()},
+        workload_name="kernel",
+        workload_seed=0,
+        workload_scale=1.0,
+        taken_at_transactions=0,
+    )
+    return times, core._mispredict_rate, ordered_snapshot(core), checkpoint.digest()
+
+
+def sampled_batches(batches: list[int]) -> int:
+    return sum(1 for n in batches if n >= INSTRUCTIONS_PER_BRANCH)
+
+
+class TestResolverMatchesTheOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        statics=code_statics,
+        first=counters,
+        samples=st.integers(0, BRANCH_SAMPLES_PER_BATCH),
+        stride=st.integers(1, 500),
+    )
+    def test_every_word_decodes_to_the_reference_outcome(
+        self, statics, first, samples, stride
+    ):
+        ctx = BranchContext(counter=first, **statics)
+        words = resolve_branch_batch(ctx, samples, stride)
+        assert len(words) == samples
+        kinds = {KIND_COND: "cond", KIND_INDIRECT: "indirect", KIND_RETURN: "return"}
+        for position, word in enumerate(words):
+            pc, taken, kind, target = reference_outcome(ctx, first + position * stride)
+            assert code_pc_base(ctx.code_seed) | (word & ~0xF) == pc
+            assert kinds[word & 3] == kind
+            if kind == "cond":
+                assert (word >> 2) & 3 == int(taken)
+            else:
+                assert pc + 64 + ((word >> 2) & 3) * 64 == target
+
+
+class TestMemoIsInvisible:
+    @settings(max_examples=60, deadline=None)
+    @given(statics=code_statics, start=counters, batches=batch_sizes, other=code_statics)
+    def test_cold_hot_and_foreign_filled_memos_agree(
+        self, statics, start, batches, other
+    ):
+        reset_stream_memo()
+        cold = drive(statics, start, batches)
+        assert branch_memo_stats().hits == 0
+        assert branch_memo_stats().entries == sampled_batches(batches)
+
+        hot = drive(statics, start, batches)
+        assert branch_memo_stats().hits == sampled_batches(batches)
+        assert hot == cold
+
+        # Different codes at the *same* counters fill the memo first; one
+        # differs from this code in a single field, the nearest alias.
+        reset_stream_memo()
+        nearest = {**statics, "flip_noise_milli": statics["flip_noise_milli"] + 1}
+        for foreign in (other, nearest):
+            if foreign != statics:
+                drive(foreign, start, batches)
+        assert branch_memo_stats().hits == 0
+        assert drive(statics, start, batches) == cold
+        assert branch_memo_stats().hits == 0
+
+    def test_threads_of_one_code_share_batches(self):
+        reset_stream_memo()
+        core = OOOCore(OOO_CONFIG, 0)
+        threads = [BranchContext(code_seed=21) for _ in range(4)]
+        for _ in range(50):
+            for ctx in threads:
+                core.instruction_time(100, ctx)
+        stats = branch_memo_stats()
+        assert (stats.misses, stats.hits, stats.entries) == (50, 150, 50)
+
+    def test_same_samples_under_another_batch_size_hit(self):
+        """The key is what is sampled -- (first, samples, stride) -- so
+        batch sizes that sample the same counters share an entry."""
+        reset_stream_memo()
+        for n_branches in (6, 7, 11):
+            OOOCore(OOO_CONFIG, 0)._sample_branches(
+                BranchContext(code_seed=3, counter=640), n_branches
+            )
+        assert branch_memo_stats().misses == 1 and branch_memo_stats().hits == 2
+        OOOCore(OOO_CONFIG, 0)._sample_branches(BranchContext(code_seed=3, counter=640), 12)
+        assert branch_memo_stats().misses == 2
+
+    def test_edited_context_fields_miss_instead_of_aliasing(self):
+        reset_stream_memo()
+        ctx = BranchContext(code_seed=5)
+        OOOCore(OOO_CONFIG, 0).instruction_time(100, ctx)
+        ctx.counter = 0
+        ctx.static_branches = 16
+        edited = OOOCore(OOO_CONFIG, 0).instruction_time(100, ctx)
+        assert branch_memo_stats().hits == 0
+        reset_stream_memo()
+        fresh = BranchContext(code_seed=5, static_branches=16)
+        assert OOOCore(OOO_CONFIG, 0).instruction_time(100, fresh) == edited
+
+
+class TestMemoIsBounded:
+    def test_entries_never_exceed_the_cap_and_a_clear_changes_nothing(self, monkeypatch):
+        statics = {"code_seed": 0xC0DE, "indirect_milli": 200, "return_milli": 200}
+        rng = random.Random(5)
+        batches = [rng.choice((3, 9, 29, 30, 31, 100, 250)) for _ in range(400)]
+
+        def lap(cap: int) -> tuple:
+            """Three threads of one code share a core, so two of every
+            three batches replay the first's, clear or no clear (a clear
+            happens on the insert, which the new entry survives)."""
+            core = OOOCore(OOO_CONFIG, 0)
+            threads = [BranchContext(**statics) for _ in range(3)]
+            times = []
+            for n in batches:
+                for ctx in threads:
+                    times.append(core.instruction_time(n, ctx))
+                    assert branch_memo_stats().entries <= cap
+            return times, ordered_snapshot(core)
+
+        reset_stream_memo()
+        uncapped = lap(base.BRANCH_MEMO_CAP)
+        stats = branch_memo_stats()
+        assert (stats.clears, stats.hits) == (0, 2 * sampled_batches(batches))
+
+        monkeypatch.setattr(base, "BRANCH_MEMO_CAP", 16)
+        reset_stream_memo()
+        assert lap(16) == uncapped
+        assert stats.clears == (sampled_batches(batches) - 1) // 16
+        assert stats.hits == 2 * sampled_batches(batches)
+
+    def test_the_cap_covers_the_measured_working_set(self):
+        """DESIGN section 16: the whole ledger grid in one process is under
+        10k distinct batches; a cap below that would thrash every study."""
+        assert base.BRANCH_MEMO_CAP >= 10_000
+
+    def test_reset_stream_memo_is_the_one_reset(self):
+        reset_stream_memo()
+        drive({"code_seed": 9}, 0, [100] * 10)
+        drive({"code_seed": 9}, 0, [100] * 10)
+        stats = branch_memo_stats()
+        assert (stats.hits, stats.misses, stats.entries) == (10, 10, 10)
+        reset_stream_memo(reset_stats=False)
+        assert (stats.hits, stats.misses, stats.entries) == (10, 10, 0)
+        reset_stream_memo()
+        assert (stats.hits, stats.misses, stats.entries, stats.clears) == (0, 0, 0, 0)
+
+
+def test_run_space_twice_in_one_process_is_one_result(tmp_path):
+    """The second sample is served by the memos the first one filled (and
+    by nothing else: each has its own store) and must be the same sample
+    under the same keys."""
+    config = SystemConfig(n_cpus=2, processor=ProcessorConfig(model="ooo"))
+    run = RunConfig(measured_transactions=10, warmup_transactions=15)
+    reset_stream_memo()
+    samples, stores = [], []
+    for name in ("first", "second"):
+        stores.append(RunStore(tmp_path / name, backend="dir"))
+        samples.append(
+            run_space(config, "oltp", run, 3, n_jobs=1, warm_start=True, store=stores[-1])
+        )
+        if name == "first":
+            hits_after_first = branch_memo_stats().hits
+    assert branch_memo_stats().hits > hits_after_first
+    assert samples[0].to_dict() == samples[1].to_dict()
+    assert sorted(stores[0].keys()) == sorted(stores[1].keys())
+    assert len(stores[0].keys()) == 3

@@ -137,6 +137,43 @@ class TestCommands:
         assert payload["workload_name"] == "oltp"
         assert len(payload["results"]) == 2
 
+    def test_profile_reports_reuse_and_leaks_into_nothing(self, tmp_path, capsys):
+        """``--profile`` prints its table and one reuse line per memo beside
+        the result, never into it: stdout under ``--json`` and every stored
+        payload byte are the same with and without the flag."""
+        outputs, stored = [], []
+        for name, extra in (("plain", []), ("profiled", ["--profile", "--profile-top", "3"])):
+            store = tmp_path / name
+            code = main(
+                ["space", "--workload", "oltp", "--txns", "10", "--warmup", "10",
+                 "--cpus", "2", "--runs", "2", "--warm-start", "--json",
+                 "--store", str(store), *extra]
+            )
+            assert code == 0
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            stored.append(
+                {
+                    str(path.relative_to(store)): path.read_bytes()
+                    for kind in ("runs", "checkpoints")
+                    for path in sorted((store / kind).rglob("*")) if path.is_file()
+                }
+            )
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["results"]
+        assert stored[0] == stored[1] and len(stored[0]) >= 3
+        report = captured.err
+        assert "cumulative time" in report
+        assert "stream memo :" in report and "branch memo :" in report
+
+    def test_run_profile_prints_metrics_after_the_report(self, capsys):
+        code = main(
+            ["run", "--workload", "oltp", "--txns", "10", "--warmup", "10",
+             "--cpus", "2", "--profile", "--profile-top", "3"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("branch memo :") < out.index("cycles per transaction")
+
     def test_compare_json(self, capsys):
         code = main(
             ["compare", "--vary", "dram", "--a", "80", "--b", "200",

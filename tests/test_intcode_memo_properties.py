@@ -30,8 +30,14 @@ from repro.memory.coherence import (
     int_table_for,
     transitions_for,
 )
+from repro.isa import OP_CPU, OP_TXN_END
 from repro.system.machine import Machine
-from repro.workloads.base import WorkloadClock
+from repro.workloads.base import (
+    _MEMO_STREAM_CAP,
+    WorkloadClock,
+    WorkloadProgram,
+    stream_memo_stats,
+)
 from repro.workloads.registry import available_workloads, make_workload
 
 try:
@@ -199,3 +205,66 @@ def test_reset_keeps_live_machines_attached():
     hits = stats.hits
     after_reset.run_until_transactions(20, max_time_ns=10**12)
     assert stats.hits - hits >= 20
+
+
+class _CarryProgram(WorkloadProgram):
+    """A generator whose every transaction moves extra state, as every
+    OLTP program's does: the memo must key on the before-image and
+    replay the after-image."""
+
+    global_queue = False
+
+    def __init__(self, clock):
+        super().__init__("carry", 0, 1, clock)
+        self.carry = 0
+        self.builds = 0
+
+    def build_transaction(self):
+        self.builds += 1
+        self.carry += 3
+        return [(OP_CPU, 10 + self.carry, 64), (OP_TXN_END, 0)]
+
+    def stream_token(self):
+        return 0
+
+    def extra_state(self):
+        return {"carry": self.carry}
+
+    def restore_extra(self, extra):
+        self.carry = extra["carry"]
+
+
+def test_stream_cap_counts_transactions_not_dict_slots():
+    """The per-stream cap is 4,096 *transactions*: a program with extra
+    state retains that many (the after-image rides in the entry's blob,
+    not in a sibling slot), and the 4,097th is built but not retained."""
+    bucket: dict = {}
+    clock = WorkloadClock()
+    writer = _CarryProgram(clock)
+    writer._memo = bucket
+    built = [writer.next_ops(None) for _ in range(_MEMO_STREAM_CAP + 1)]
+    assert writer.builds == _MEMO_STREAM_CAP + 1
+    assert len(bucket) == _MEMO_STREAM_CAP == 4096
+
+    reader = _CarryProgram(clock)
+    reader._memo = bucket
+    stats = stream_memo_stats()
+    hits = stats.hits
+    replayed = [reader.next_ops(None) for _ in range(_MEMO_STREAM_CAP)]
+    assert (reader.builds, stats.hits - hits) == (0, _MEMO_STREAM_CAP)
+    assert reader.carry == 3 * _MEMO_STREAM_CAP
+    assert reader.next_ops(None) == built[-1] and reader.builds == 1
+    assert replayed == built[:-1]
+    assert len(bucket) == _MEMO_STREAM_CAP
+
+
+def test_unmarshallable_op_fields_are_served_unmemoized():
+    class Exotic(_CarryProgram):
+        def build_transaction(self):
+            self.builds += 1
+            return [(OP_CPU, object(), 64)]
+
+    program = Exotic(WorkloadClock())
+    program._memo = {}
+    assert len(program.next_ops(None)) == 1 and len(program.next_ops(None)) == 1
+    assert program.builds == 2 and program._memo == {}

@@ -224,6 +224,33 @@ class TestFuzzer:
         assert result.digest_checked == result.digest_bare
         assert result.violations == []
 
+    def test_pair_is_cold_then_hot_and_catches_a_wrong_replayed_branch(self, monkeypatch):
+        """The bare run is served by the memos the checked run filled, and a
+        memo that replays one wrong branch moves the predictor counters in
+        the digest even where end times would agree."""
+        from repro.proc import ooo
+        from repro.proc.base import branch_memo_stats
+
+        case = next(
+            case
+            for case in (generate_case(3, i) for i in range(25))
+            if case.config.processor.model == "ooo"
+        )
+        stats = branch_memo_stats()
+        assert run_case(case).ok
+        assert stats.misses > 0 and stats.hits >= stats.misses
+
+        replay = ooo.sampled_branches
+
+        def wrong_on_a_hit(ctx, samples, stride):
+            hits = stats.hits
+            words = replay(ctx, samples, stride)
+            return (words[0] ^ 4, *words[1:]) if stats.hits > hits else words
+
+        monkeypatch.setattr(ooo, "sampled_branches", wrong_on_a_hit)
+        result = run_case(case)
+        assert not result.ok and "nondeterminism" in result.describe_failure()
+
     def test_small_sweep_clean(self):
         report = run_fuzz(4, seed=21)
         assert report.ok, report.render()
