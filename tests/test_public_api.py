@@ -160,25 +160,34 @@ def test_no_unreferenced_names():
 # ----------------------------------------------------------------------
 # A stdlib-only runtime: importing the package loads nothing third-party
 # ----------------------------------------------------------------------
-#: top-level ``sys.modules`` names of a fresh interpreter that are neither
-#: standard library nor ours; each entry says who puts it there
+#: top-level names that importing ``repro`` adds to ``sys.modules`` but
+#: that are neither standard library nor ours; each entry says who puts it
+#: there
 NOT_IMPORTED_BY_US = {
-    "__main__": "the interpreter's own entry module",
     "__mp_main__": "the stdlib's multiprocessing aliases __main__ to it on import",
-    "_distutils_hack": "setuptools' site .pth file imports it before any user code",
 }
 #: likewise, by prefix: the build's config data, loaded by the stdlib's sysconfig
 SYSCONFIG_DATA = "_sysconfigdata_"
 
 
 def test_runtime_imports_only_the_standard_library():
-    """``dependencies = []`` is true: a fresh interpreter that imports the
-    library, the CLI and the service holds only stdlib and ``repro``
-    modules (DESIGN section 19).  A lazy import would pass this and pay
-    at first use, which is why ``src/`` has none to find."""
+    """``dependencies = []`` is true (DESIGN section 19), checked twice.
+
+    At run time: the modules that importing the library, the CLI and the
+    service adds to a fresh interpreter are stdlib or ``repro`` modules.
+    What was in ``sys.modules`` before that import is the baseline, not
+    the package's doing: site ``.pth`` hooks load modules (setuptools'
+    ``_distutils_hack``, a CA-bundle hook's ``certifi``) before any user
+    code runs.  Statically: every absolute import in ``src/`` names a
+    stdlib module or ``repro``, which also catches a third-party module
+    that a site hook happened to preload.  A lazy import would pass the
+    run-time half and pay at first use, which is why ``src/`` has none
+    to find."""
     code = (
-        "import sys, repro, repro.cli, repro.service\n"
-        "print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.cli, repro.service\n"
+        "print(*sorted({name.partition('.')[0] for name in sys.modules.keys() - before}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -195,6 +204,22 @@ def test_runtime_imports_only_the_standard_library():
         and not name.startswith(SYSCONFIG_DATA)
     ]
     assert not foreign, f"third-party modules loaded at import: {foreign}"
+    ours = {*sys.stdlib_module_names, "repro"}
+    imported = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [
+                f"{path.relative_to(REPO)}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in ours
+            ]
+    assert not imported, "third-party modules imported in src/:\n" + "\n".join(imported)
     sources = [*(REPO / "src").rglob("*.py"), *(REPO / "examples").rglob("*.py"),
                *(REPO / "benchmarks").glob("*.py")]
     for path in sorted(sources):
