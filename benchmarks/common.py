@@ -35,6 +35,7 @@ conclusions rest on.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from repro.config import RunConfig, SystemConfig
@@ -44,9 +45,14 @@ from repro.system.checkpoint import Checkpoint
 from repro.system.checkpoint import warm_checkpoint as _library_warm_checkpoint
 from repro.workloads.registry import make_workload
 
-#: the shared persistent run store (honours $REPRO_STORE_DIR and
-#: $REPRO_STORE_BACKEND)
-STORE = RunStore()
+
+@functools.cache
+def store() -> RunStore:
+    """The shared persistent run store (honours $REPRO_STORE_DIR and
+    $REPRO_STORE_BACKEND), opened on first use: importing this module
+    creates no directory."""
+    return RunStore()
+
 
 #: runs per configuration (paper: twenty)
 N_RUNS = int(os.environ.get("REPRO_BENCH_RUNS", "20"))
@@ -86,7 +92,7 @@ def warm_checkpoint(
         make_workload(workload_name, **(workload_params or {})),
         warmup_transactions=warmup,
         max_time_ns=MAX_TIME_NS,
-        store=STORE,
+        store=store(),
         mode=warmup_mode if warmup_mode is not None else WARMUP_MODE,
     )
 
@@ -122,7 +128,7 @@ def sample_runs(
         n_runs if n_runs is not None else N_RUNS,
         checkpoint=checkpoint,
         workload_params=workload_params or {},
-        store=STORE,
+        store=store(),
         n_jobs=n_jobs,
     )
 

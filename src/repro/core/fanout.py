@@ -14,9 +14,9 @@ window alone:
   :class:`SharedRunContext` (configuration, workload spec, run template,
   checkpoint) is pickled once per seed order, in the parent; every
   batch carries that blob (a memcpy) under the blob's hash, and a worker
-  opens it only when the hash is not in its small resident cache; job
-  tuples shrink to ``(seed, run_overrides)`` and are chunked into
-  batches to amortize submission overhead;
+  opens it only when the hash is not in its small resident cache; jobs
+  shrink to bare seeds and are chunked into batches to amortize
+  submission overhead;
 - **restore once, clone per seed**: a context is opened a single time
   into a pristine machine (the checkpoint materialized, or the workload
   booted cold) that stays resident; each seed's machine -- and each pass
@@ -74,7 +74,6 @@ from repro.core.request import (
     modes_of,
 )
 from repro.core.runner import RunFailure
-from repro.system import checkpoint as checkpoint_mod
 from repro.system.machine import Machine
 from repro.system.simulation import SimulationResult, measure_machine
 
@@ -87,7 +86,7 @@ class SharedRunContext:
 
     This is what a worker unpickles at most once per cell instead of
     once per job: batches carry its pickled blob and the blob's hash,
-    the per-seed jobs only ``(seed, run_overrides)``.
+    the per-seed jobs only their seeds.
 
     A context is the fan-out twin of a :class:`repro.core.request.RunRequest`
     template: identity minus the per-seed ``run.seed``, plus the
@@ -267,7 +266,8 @@ def _run_guarded(
 
 @dataclass(frozen=True)
 class WarmOrder:
-    """A cell asks for its shared warm checkpoint to be built.
+    """A cell asks for the shared warm checkpoint of its stated
+    ``request`` (:meth:`~repro.core.request.RunRequest.warm_checkpoint`).
 
     Answered with the :class:`~repro.system.checkpoint.Checkpoint`, or
     ``None`` when the worker building it died past the crash budget.
@@ -275,11 +275,7 @@ class WarmOrder:
     in the parent, which stays the store's only writer.
     """
 
-    config: SystemConfig  # fidelity-effective
-    workload: WorkloadSpec
-    warmup_transactions: int
-    max_time_ns: int
-    mode: str = "timed"
+    request: RunRequest
 
 
 @dataclass(frozen=True)
@@ -289,19 +285,12 @@ class SeedOrder:
     Answered with ``(results, failures)``; the two partitions cover
     every seed.  ``on_result(seed, result)`` fires in the parent as each
     run completes (persist there -- that is what makes interrupts
-    resumable).  ``overrides`` maps a seed to
-    :class:`~repro.config.RunConfig` field overrides for that seed alone.
+    resumable).
     """
 
     context: SharedRunContext
     seeds: list[int]
-    overrides: dict[int, dict] | None = None
     on_result: Callable[[int, SimulationResult], None] | None = None
-
-    def jobs(self, seeds) -> tuple:
-        """The shrunken job form: ``(seed, run_overrides)`` per seed."""
-        overrides = self.overrides or {}
-        return tuple((seed, overrides.get(seed)) for seed in seeds)
 
     def record(self, outcome: tuple, seed: int, status: str, payload) -> None:
         """File one finished run into ``outcome``'s (results, failures)."""
@@ -315,26 +304,20 @@ class SeedOrder:
 
 def _run_warm(order: WarmOrder):
     """Task body of a :class:`WarmOrder` (worker or in-process)."""
-    return checkpoint_mod.warm_checkpoint(
-        order.config,
-        order.workload.make(),
-        warmup_transactions=order.warmup_transactions,
-        max_time_ns=order.max_time_ns,
-        mode=order.mode,
-    )
+    return order.request.warm_checkpoint()
 
 
-def _run_jobs(resident: _Resident, jobs: tuple, timeout_s: float | None):
-    """One ``(seed, status, payload)`` triple per job, as each run ends."""
-    for seed, overrides in jobs:
-        run = replace(resident.context.run, seed=seed, **(overrides or {}))
+def _run_jobs(resident: _Resident, seeds, timeout_s: float | None):
+    """One ``(seed, status, payload)`` triple per seed, as each run ends."""
+    for seed in seeds:
+        run = replace(resident.context.run, seed=seed)
         yield (seed, *_run_guarded(resident, run, timeout_s))
 
 
-def _run_batch(key: str, blob: bytes, jobs: tuple, timeout_s: float | None) -> list:
-    """Worker body: run one batch of jobs against a resident context
+def _run_batch(key: str, blob: bytes, seeds: tuple, timeout_s: float | None) -> list:
+    """Worker body: run one batch of seeds against a resident context
     (``blob`` is opened only when ``key`` is not resident here)."""
-    return list(_run_jobs(_resident(key, blob), jobs, timeout_s))
+    return list(_run_jobs(_resident(key, blob), seeds, timeout_s))
 
 
 def _timed(fn: Callable, *args) -> tuple[object, float]:
@@ -407,7 +390,7 @@ def _run_inline(cell: Generator, timeout_s: float | None):
                 if resident is None or resident.context is not order.context:
                     resident = _Resident(order.context)
                 reply = ({}, [])
-                for triple in _run_jobs(resident, order.jobs(order.seeds), timeout_s):
+                for triple in _run_jobs(resident, order.seeds, timeout_s):
                     order.record(reply, *triple)
             log.debug("in-process %s took %.3fs", type(order).__name__, time.perf_counter() - start)
     except StopIteration as stop:
@@ -517,8 +500,8 @@ class _Pipeline:
                 return
 
     def _batch_task(self, cell: _Cell, seeds, ward: int = 0) -> _Task:
-        args = (*cell.shipment, cell.order.jobs(seeds), self.timeout_s)
-        return _Task(cell, _run_batch, args, tuple(seeds), ward)
+        seeds = tuple(seeds)
+        return _Task(cell, _run_batch, (*cell.shipment, seeds, self.timeout_s), seeds, ward)
 
     def _harvest(self) -> None:
         done, _ = wait(self.inflight, return_when=FIRST_COMPLETED)
@@ -582,7 +565,6 @@ def execute_shared(
     context: SharedRunContext,
     seeds: list[int],
     *,
-    overrides: dict[int, dict] | None = None,
     n_jobs: int = 1,
     timeout_s: float | None = None,
     retries: int = 1,
@@ -597,7 +579,7 @@ def execute_shared(
     """
 
     def cell():
-        return (yield SeedOrder(context, list(seeds), overrides, on_result))
+        return (yield SeedOrder(context, list(seeds), on_result))
 
     (outcome,) = run_cells(
         [cell()], n_jobs=n_jobs, timeout_s=timeout_s, retries=retries, batch_size=batch_size
@@ -684,16 +666,12 @@ class CellSampler:
 
     def _warm(self):
         """The sample's shared warm checkpoint: the store's, else ordered
-        (under the fidelity-effective configuration, matching the warm
-        key) and then stored."""
+        from the stated request and then stored."""
         stated, store = self.stated, self.store
         warm_key = stated.warm_checkpoint_key()
         checkpoint = store.get_checkpoint(warm_key) if store is not None else None
         if checkpoint is None:
-            checkpoint = yield WarmOrder(
-                stated.effective_config, stated.workload,
-                stated.run.warmup_transactions, stated.run.max_time_ns, stated.warmup_mode,
-            )
+            checkpoint = yield WarmOrder(stated)
             if checkpoint is None:
                 self._warm_error = "warm-up worker crashed past the retry budget"
             elif store is not None:

@@ -13,9 +13,12 @@ lock-step.
 picklable, JSON-round-trippable value:
 
 - **identity**: :meth:`RunRequest.run_key` is the content-addressed
-  store key of the run's outcome, derived from the same canonical
-  payload as :func:`repro.store.keys.run_key` (the two are byte-for-byte
-  identical -- locked by a hypothesis property test);
+  store key of the run's outcome, the canonical payload of
+  :func:`repro.store.keys.run_key` over the request's fields (locked
+  byte-for-byte to the pre-refactor keys by a hypothesis property
+  test); :class:`WorkloadSpec` is the only record of a workload's
+  identity, and :meth:`RunRequest.warm_checkpoint` the only reading of
+  a warm-up's cause;
 - **execution**: :func:`execute_request` turns a request (plus, for
   checkpoint-started runs, the materialized checkpoint) into a
   :class:`~repro.system.simulation.SimulationResult` through the one
@@ -337,10 +340,9 @@ class RunRequest:
     def run_key(self) -> str:
         """The content-addressed store key of this run's outcome.
 
-        This is *the* canonical digest: :func:`repro.store.keys.run_key`
-        builds the identical payload from loose arguments, and every
-        layer now derives keys through one of the two.  A
-        default-fidelity request keys byte-identically to the
+        This is *the* canonical digest, built by
+        :func:`repro.store.keys.run_key` from the request's own fields.
+        A default-fidelity request keys byte-identically to the
         pre-``RunRequest`` plumbing (locked by the key-stability
         property test).
         """
@@ -349,10 +351,7 @@ class RunRequest:
         return run_key(
             self.config,
             self.run,
-            self.workload.name,
-            self.workload.seed,
-            self.workload.scale,
-            self.workload.params_dict,
+            self.workload,
             checkpoint_digest=self.checkpoint_ref,
             **modes_of(self),
         )
@@ -372,14 +371,33 @@ class RunRequest:
 
         return warm_key(
             self.effective_config,
-            self.workload.name,
-            self.workload.seed,
-            self.workload.scale,
-            self.workload.params_dict,
+            self.workload,
             warmup_transactions=self.run.warmup_transactions,
             warmup_seed=WARMUP_PERTURBATION_SEED,
             max_time_ns=self.run.max_time_ns,
             warmup_mode=self.warmup_mode,
+        )
+
+    def warm_checkpoint(self, store=None):
+        """This request's shared warm-up checkpoint, the one
+        :meth:`warm_checkpoint_key` names: the warm-up leg run under the
+        fidelity-effective configuration, or -- with ``store`` -- the
+        copy the store already holds under that key.
+
+        The one place a warm-up's cause is read off a request: the
+        fan-out engine's warm-up task calls it with no store (the parent
+        persists), a service worker with its store.
+        """
+        # A module attribute, not an imported name: tracers wrap it there.
+        from repro.system import checkpoint as checkpoint_mod
+
+        return checkpoint_mod.warm_checkpoint(
+            self.effective_config,
+            self.workload.make(),
+            warmup_transactions=self.run.warmup_transactions,
+            max_time_ns=self.run.max_time_ns,
+            store=store,
+            mode=self.warmup_mode,
         )
 
     # ------------------------------------------------------------------

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import sqlite3
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.store.backends import sqlite_connect, sqlite_write
 
 #: default lease duration (a worker heartbeats at a fraction of this)
 DEFAULT_LEASE_S = 30.0
@@ -49,8 +50,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: queue database filename, beside the run store by default
 QUEUE_FILENAME = "queue.sqlite"
-
-_BUSY_TIMEOUT_S = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -122,41 +121,17 @@ class WorkQueue:
     Instances are cheap (a path and a schema check); every operation
     opens its own connection, so one ``WorkQueue`` may be shared across
     threads and survives ``fork()``.  All read-modify-write operations
-    run under ``BEGIN IMMEDIATE`` and retry on lock contention, so
-    concurrent servers and workers serialize rather than corrupt.
+    run under ``BEGIN IMMEDIATE`` (:func:`~repro.store.backends.sqlite_write`)
+    and retry on lock contention, so concurrent servers and workers
+    serialize rather than corrupt.  Only lock timeouts retry: a
+    ``UNIQUE`` violation is a real error and fails at once.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             conn.executescript(_SCHEMA)
-
-    def _connect(self) -> sqlite3.Connection:
-        return sqlite3.connect(
-            self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None
-        )
-
-    def _write(self, fn):
-        """Run ``fn(conn)`` inside ``BEGIN IMMEDIATE``, retrying on busy."""
-        delay = 0.01
-        for attempt in range(12):
-            conn = self._connect()
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                out = fn(conn)
-                conn.execute("COMMIT")
-                return out
-            except sqlite3.OperationalError:
-                with contextlib.suppress(sqlite3.Error):
-                    conn.execute("ROLLBACK")
-                if attempt == 11:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, 0.5)
-            finally:
-                conn.close()
-        raise AssertionError("unreachable")
 
     @staticmethod
     def _event(conn, campaign_id: str, kind: str, detail: dict, at: float) -> None:
@@ -230,7 +205,7 @@ class WorkQueue:
             )
             return campaign_id
 
-        return self._write(body)
+        return sqlite_write(self.path, body)
 
     # ------------------------------------------------------------------
     # Leasing
@@ -346,7 +321,7 @@ class WorkQueue:
                 lease_expiry=expiry,
             )
 
-        return self._write(body)
+        return sqlite_write(self.path, body)
 
     def heartbeat(
         self,
@@ -373,7 +348,7 @@ class WorkQueue:
             )
             return cur.rowcount == 1
 
-        return self._write(body)
+        return sqlite_write(self.path, body)
 
     # ------------------------------------------------------------------
     # Completion
@@ -418,7 +393,7 @@ class WorkQueue:
             )
             return True
 
-        return self._write(body)
+        return sqlite_write(self.path, body)
 
     def complete(
         self,
@@ -496,7 +471,7 @@ class WorkQueue:
                 )
             return True
 
-        return self._write(body)
+        return sqlite_write(self.path, body)
 
     def has_claimable(self, *, now: float | None = None) -> bool:
         """Whether a claim could plausibly succeed right now.
@@ -508,7 +483,7 @@ class WorkQueue:
         snatches first -- the claim itself remains the only arbiter.
         """
         now = time.time() if now is None else now
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             return conn.execute(
                 "SELECT EXISTS (SELECT 1 FROM cells WHERE state = 'pending'"
                 " OR (state = 'leased' AND lease_expiry < ?))",
@@ -519,14 +494,14 @@ class WorkQueue:
         """Recover lapsed leases outside a claim (servers call this
         periodically so progress is visible even with no worker asking)."""
         now = time.time() if now is None else now
-        self._write(lambda conn: self._requeue_lapsed(conn, now))
+        sqlite_write(self.path, lambda conn: self._requeue_lapsed(conn, now))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def campaign(self, campaign_id: str) -> dict | None:
         """The stored campaign row (id, name, spec dict, max_attempts)."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             row = conn.execute(
                 "SELECT id, name, spec, max_attempts, submitted_at"
                 " FROM campaigns WHERE id = ?",
@@ -545,7 +520,7 @@ class WorkQueue:
 
     def campaigns(self) -> list[dict]:
         """Every campaign with its state counts, oldest first."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             rows = conn.execute(
                 "SELECT id, name, submitted_at FROM campaigns ORDER BY submitted_at"
             ).fetchall()
@@ -556,7 +531,7 @@ class WorkQueue:
 
     def counts(self, campaign_id: str) -> dict:
         """Cell-state counts of one campaign (zero-filled)."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             rows = conn.execute(
                 "SELECT state, COUNT(*) FROM cells WHERE campaign_id = ?"
                 " GROUP BY state",
@@ -569,7 +544,7 @@ class WorkQueue:
 
     def cells(self, campaign_id: str) -> list[dict]:
         """Every cell of a campaign, in creation order."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             rows = conn.execute(
                 "SELECT id, config_label, workload, seed, run_key, state,"
                 " attempts, worker, error FROM cells WHERE campaign_id = ?"
@@ -590,7 +565,7 @@ class WorkQueue:
 
     def outstanding(self) -> int:
         """Cells not yet in a terminal state, across all campaigns."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             return conn.execute(
                 "SELECT COUNT(*) FROM cells WHERE state IN ('pending', 'leased')"
             ).fetchone()[0]
@@ -598,7 +573,7 @@ class WorkQueue:
     def events_since(self, campaign_id: str, seq: int) -> list[dict]:
         """Events of a campaign after ``seq``, oldest first (the watch
         stream's cursor-based page)."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.path)) as conn:
             rows = conn.execute(
                 "SELECT seq, at, kind, detail FROM events"
                 " WHERE campaign_id = ? AND seq > ? ORDER BY seq",

@@ -7,13 +7,14 @@ Everything that matters for correctness is therefore in infrastructure
 the in-process path already trusts:
 
 - the cell is one seed of the very request template an in-process
-  campaign cell keys and runs
-  (:func:`repro.campaign.plan.cell_request`), executed by
+  campaign cell keys and runs (the stated
+  :meth:`~repro.campaign.plan.CampaignSpec.request`'s
+  :meth:`~repro.core.request.RunRequest.seed_template`), executed by
   :func:`repro.core.request.execute_request` -- the single-run entry of
   the one run dispatch every fan-out seed goes through -- so its result
   is bit-identical to an in-process campaign's;
 - a warm-started cell resolves its shared warm checkpoint through
-  :func:`repro.system.checkpoint.warm_checkpoint` with the store --
+  :meth:`repro.core.request.RunRequest.warm_checkpoint` with the store --
   cause-keyed, so N workers build it at most N times and usually zero
   (first one wins, the rest read the cache);
 - the result is stored *before* the queue is told: a crash between the
@@ -35,8 +36,7 @@ import threading
 import time
 import uuid
 
-from repro.campaign.plan import cell_request
-from repro.core.request import effective_config, execute_request, format_failure
+from repro.core.request import execute_request, format_failure
 from repro.service.protocol import spec_from_dict
 from repro.service.queue import DEFAULT_LEASE_S, LeasedCell, WorkQueue
 from repro.store import RunStore
@@ -207,21 +207,8 @@ class Worker:
             raise RuntimeError(
                 f"cell {cell.cell_id} indexes outside its campaign spec"
             ) from exc
-        template = cell_request(spec, config, wspec)
-        checkpoint = None
-        if spec.warm_start:
-            from repro.system.checkpoint import warm_checkpoint
-
-            # Warm-up under the fidelity-effective configuration, matching
-            # the cell's warm key (cause-keyed: first worker builds it,
-            # the rest read the cache).
-            checkpoint = warm_checkpoint(
-                effective_config(config, spec.fidelity),
-                wspec.make(),
-                warmup_transactions=spec.run.warmup_transactions,
-                max_time_ns=spec.run.max_time_ns,
-                store=self.store,
-                mode=spec.warmup_mode,
-            )
-        request = template.with_seed(cell.seed)
+        stated = spec.request(config, wspec)
+        # Cause-keyed: the first worker builds it, the rest read the cache.
+        checkpoint = stated.warm_checkpoint(self.store) if spec.warm_start else None
+        request = stated.seed_template(spec.warm_start).with_seed(cell.seed)
         return execute_request(request, checkpoint), spec, label, wspec

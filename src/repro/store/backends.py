@@ -54,6 +54,46 @@ _SQLITE_BUSY_TIMEOUT_S = 30.0
 #: chunk size for IN (...) queries, far below SQLITE_MAX_VARIABLE_NUMBER
 _SQLITE_IN_CHUNK = 400
 
+#: attempts of one write transaction before a lock timeout is raised
+_SQLITE_WRITE_ATTEMPTS = 12
+
+
+def sqlite_connect(path: Path) -> sqlite3.Connection:
+    """A new connection to the database at ``path``, explicit transactions
+    only.  Callers open one per operation (never cached), which keeps
+    them safe to use after ``fork()`` and from any thread."""
+    return sqlite3.connect(path, timeout=_SQLITE_BUSY_TIMEOUT_S, isolation_level=None)
+
+
+def sqlite_write(path: Path, fn, retry_on: tuple = (sqlite3.OperationalError,)):
+    """Run ``fn(conn)`` in one write transaction; its return value.
+
+    ``BEGIN IMMEDIATE`` takes the database write lock up front, so
+    read-modify-write bodies are serialized across all processes.  An
+    error in ``retry_on`` (by default a lock timeout) rolls back and
+    retries the whole body on a new connection, backing off 10 ms
+    doubling to 0.5 s, and is raised after the last attempt; any other
+    error is raised at once.  The run store and the work queue share
+    this one write policy.
+    """
+    delay = 0.01
+    for attempt in range(1, _SQLITE_WRITE_ATTEMPTS + 1):
+        conn = sqlite_connect(path)
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            out = fn(conn)
+            conn.execute("COMMIT")
+            return out
+        except retry_on:
+            with contextlib.suppress(sqlite3.Error):
+                conn.execute("ROLLBACK")
+            if attempt == _SQLITE_WRITE_ATTEMPTS:
+                raise
+            time.sleep(delay)
+            delay = min(delay * 2, 0.5)
+        finally:
+            conn.close()
+
 
 class StoreBackend:
     """The contract a store backend fulfils.
@@ -295,10 +335,9 @@ class SQLiteBackend(StoreBackend):
     ``SQLITE_BUSY``; writers retry with backoff rather than fail, so
     contention costs latency, never corruption or gaps.
 
-    Connections are opened per operation (never cached), which keeps the
-    backend safe to use after ``fork()`` and from any thread -- worker
-    pools and the threading campaign server both hold ``RunStore``
-    objects across process/thread boundaries.
+    Connections are opened per operation (:func:`sqlite_connect`) --
+    worker pools and the threading campaign server both hold
+    ``RunStore`` objects across process/thread boundaries.
     """
 
     kind = "sqlite"
@@ -307,49 +346,20 @@ class SQLiteBackend(StoreBackend):
         super().__init__(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.db_path = self.root / SQLITE_FILENAME
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             conn.executescript(_SCHEMA)
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(
-            self.db_path,
-            timeout=_SQLITE_BUSY_TIMEOUT_S,
-            isolation_level=None,  # explicit transactions only
-        )
-        return conn
-
     def _write(self, fn):
-        """Run ``fn(conn)`` inside BEGIN IMMEDIATE, retrying on busy.
-
-        ``BEGIN IMMEDIATE`` takes the database write lock up front, so
-        the read-modify-write bodies below are serialized across all
-        processes; a lock timeout (or a primary-key race, impossible
-        under the lock but cheap to guard) retries the whole body.
-        """
-        delay = 0.01
-        for attempt in range(12):
-            conn = self._connect()
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                out = fn(conn)
-                conn.execute("COMMIT")
-                return out
-            except (sqlite3.OperationalError, sqlite3.IntegrityError):
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-                if attempt == 11:
-                    raise
-                time.sleep(delay)
-                delay = min(delay * 2, 0.5)
-            finally:
-                conn.close()
-        raise AssertionError("unreachable")
+        """:func:`sqlite_write` on this store; a primary-key race
+        (impossible under the write lock, but cheap to guard) retries
+        too."""
+        return sqlite_write(
+            self.db_path, fn, retry_on=(sqlite3.OperationalError, sqlite3.IntegrityError)
+        )
 
     # -- run payloads --------------------------------------------------
     def contains(self, key: str) -> bool:
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             row = conn.execute("SELECT 1 FROM runs WHERE key = ?", (key,)).fetchone()
         return row is not None
 
@@ -361,7 +371,7 @@ class SQLiteBackend(StoreBackend):
             return None
 
     def get_payload(self, key: str) -> dict | None:
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             row = conn.execute(
                 "SELECT payload FROM runs WHERE key = ?", (key,)
             ).fetchone()
@@ -373,7 +383,7 @@ class SQLiteBackend(StoreBackend):
         if not keys:
             return {}
         found: dict = {}
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             for start in range(0, len(keys), _SQLITE_IN_CHUNK):
                 chunk = keys[start : start + _SQLITE_IN_CHUNK]
                 marks = ",".join("?" * len(chunk))
@@ -391,7 +401,7 @@ class SQLiteBackend(StoreBackend):
         if not keys:
             return set()
         present: set = set()
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             for start in range(0, len(keys), _SQLITE_IN_CHUNK):
                 chunk = keys[start : start + _SQLITE_IN_CHUNK]
                 marks = ",".join("?" * len(chunk))
@@ -418,12 +428,12 @@ class SQLiteBackend(StoreBackend):
         return self._write(body)
 
     def keys(self) -> list[str]:
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             rows = conn.execute("SELECT key FROM runs ORDER BY key").fetchall()
         return [row[0] for row in rows]
 
     def count(self) -> int:
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             return conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
 
     # -- journal -------------------------------------------------------
@@ -441,7 +451,7 @@ class SQLiteBackend(StoreBackend):
         self._write(body)
 
     def journal_entries(self) -> list[dict]:
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             rows = conn.execute("SELECT seq, entry FROM journal ORDER BY seq").fetchall()
         entries: list[dict] = []
         for seq, text in rows:
@@ -454,13 +464,13 @@ class SQLiteBackend(StoreBackend):
     def journal_seqs(self) -> list[int]:
         """All journal sequence numbers, ascending (CAS-contention tests
         assert density: ``1..N`` with no gaps or duplicates)."""
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             rows = conn.execute("SELECT seq FROM journal ORDER BY seq").fetchall()
         return [row[0] for row in rows]
 
     # -- checkpoints ---------------------------------------------------
     def get_checkpoint(self, key: str):
-        with contextlib.closing(self._connect()) as conn:
+        with contextlib.closing(sqlite_connect(self.db_path)) as conn:
             row = conn.execute(
                 "SELECT data FROM checkpoints WHERE key = ?", (key,)
             ).fetchone()
@@ -469,10 +479,7 @@ class SQLiteBackend(StoreBackend):
         from repro.system.checkpoint import Checkpoint
 
         try:
-            checkpoint = pickle.loads(row[0])
-            if not isinstance(checkpoint, Checkpoint):
-                raise TypeError("row does not contain a Checkpoint")
-            return checkpoint
+            return Checkpoint.loads(row[0])
         except Exception as exc:  # noqa: BLE001 -- any corruption is a miss
             _warn_corrupt(f"checkpoint {key}", exc)
             return None

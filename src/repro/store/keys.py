@@ -2,7 +2,8 @@
 
 A *run key* names one simulation outcome by its complete cause: the
 system configuration, the measurement protocol (including the
-perturbation seed), the workload identity (name, seed, scale, parameter
+perturbation seed), the workload identity (a
+:class:`~repro.core.request.WorkloadSpec`: name, seed, scale, parameter
 overrides), and -- when the run starts from captured initial conditions
 -- the checkpoint digest.  Two runs with equal keys are bit-identical
 (the simulator is deterministic given these inputs), so the store can
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping
 
 from repro.config import RunConfig, SystemConfig
-from repro.core.request import fold_modes
+from repro.core.request import WorkloadSpec, fold_modes
 
 #: bump when the meaning of identical inputs changes (simulator semantics)
 KEY_VERSION = 1
@@ -46,10 +46,7 @@ def digest(obj, *, length: int = 32) -> str:
 def run_key(
     config: SystemConfig,
     run: RunConfig,
-    workload_name: str,
-    workload_seed: int,
-    workload_scale: float,
-    workload_params: Mapping | None = None,
+    workload: WorkloadSpec,
     *,
     checkpoint_digest: str | None = None,
     warmup_mode: str = "timed",
@@ -59,9 +56,10 @@ def run_key(
     """The content-addressed key of one simulation run.
 
     This is the canonical payload behind
-    :attr:`repro.core.request.RunRequest.run_key`; the request object
-    and this function are the only two spellings of a run's identity,
-    and they are byte-identical by construction.
+    :attr:`repro.core.request.RunRequest.run_key`, which calls it with
+    the request's own fields.  The ``"workload"`` entry is
+    :meth:`WorkloadSpec.to_dict`: name, seed, scale and params, the four
+    keys every stored key has hashed, which keeps old keys valid.
 
     ``run.seed`` is the perturbation seed of *this* run (callers pass
     ``replace(run, seed=...)`` per sample member, as ``run_space`` does).
@@ -86,12 +84,7 @@ def run_key(
         "v": KEY_VERSION,
         "system": config.to_dict(),
         "run": run.to_dict(),
-        "workload": {
-            "name": workload_name,
-            "seed": workload_seed,
-            "scale": workload_scale,
-            "params": dict(workload_params or {}),
-        },
+        "workload": workload.to_dict(),
         "checkpoint": checkpoint_digest,
         **fold_modes(warmup_mode=warmup_mode, fidelity=fidelity, sampling_mode=sampling_mode),
     }
@@ -100,10 +93,7 @@ def run_key(
 
 def warm_key(
     config: SystemConfig,
-    workload_name: str,
-    workload_seed: int,
-    workload_scale: float,
-    workload_params: Mapping | None = None,
+    workload: WorkloadSpec,
     *,
     warmup_transactions: int,
     warmup_seed: int,
@@ -139,12 +129,7 @@ def warm_key(
         "v": KEY_VERSION,
         "kind": "warm-checkpoint",
         "system": config.to_dict(),
-        "workload": {
-            "name": workload_name,
-            "seed": workload_seed,
-            "scale": workload_scale,
-            "params": dict(workload_params or {}),
-        },
+        "workload": workload.to_dict(),
         "warmup_transactions": warmup_transactions,
         "warmup_seed": warmup_seed,
         "max_time_ns": max_time_ns,

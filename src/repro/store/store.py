@@ -260,7 +260,9 @@ class RunStore:
     def get_checkpoint(self, key: str):
         """The cached checkpoint for a warm key, or ``None``.
 
-        Like :meth:`get`, a corrupt or unreadable checkpoint is a cache
+        Like :meth:`get`, a corrupt or unreadable checkpoint -- or one
+        in a layout this version no longer reads
+        (:meth:`~repro.system.checkpoint.Checkpoint.loads`) -- is a cache
         miss (warned, never raised): losing a cached warm-up costs one
         re-warm, not the campaign.
         """

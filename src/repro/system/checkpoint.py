@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import SystemConfig
+from repro.core.request import WorkloadSpec
 from repro.system.machine import Machine, check_warmup_mode
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
@@ -43,36 +44,24 @@ def _canonicalize(obj):
 
 @dataclass
 class Checkpoint:
-    """A captured machine state plus what is needed to rebuild it."""
+    """A captured machine state plus what is needed to rebuild it.
+
+    ``workload`` is the identity of the workload whose program state
+    ``state`` holds -- a :class:`~repro.core.request.WorkloadSpec`, the
+    same record run keys and warm keys hash.
+    """
 
     state: dict
-    workload_name: str
-    workload_seed: int
-    workload_scale: float
+    workload: WorkloadSpec
     taken_at_transactions: int
-    workload_params: dict | None = None
-
-    def __post_init__(self) -> None:
-        # Normalize so consumers can treat the field as a plain dict;
-        # ``None`` is accepted for backward compatibility with older
-        # pickles and callers.
-        if self.workload_params is None:
-            self.workload_params = {}
 
     @classmethod
     def capture(cls, machine: Machine) -> "Checkpoint":
         """Snapshot a quiesced machine (between event-loop calls)."""
-        workload = machine.workload
-        # Record instance-level parameter overrides (set by make_workload)
-        # so a parameterized workload rebuilds identically.
-        params = _instance_params(workload)
         return cls(
             state=machine.snapshot(),
-            workload_name=workload.name,
-            workload_seed=workload.seed,
-            workload_scale=workload.scale,
+            workload=WorkloadSpec.resolve(machine.workload),
             taken_at_transactions=machine.completed_transactions,
-            workload_params=params,
         )
 
     def materialize(
@@ -84,22 +73,14 @@ class Checkpoint:
         instance; it must match the checkpoint's name/seed/scale (the
         captured program state belongs to that stream).
         """
+        spec = self.workload
         if workload is None:
-            workload = make_workload(
-                self.workload_name,
-                seed=self.workload_seed,
-                scale=self.workload_scale,
-                **(self.workload_params or {}),
-            )
-        elif (
-            workload.name != self.workload_name
-            or workload.seed != self.workload_seed
-            or workload.scale != self.workload_scale
-        ):
+            workload = spec.make()
+        elif (workload.name, workload.seed, workload.scale) != (spec.name, spec.seed, spec.scale):
             raise ValueError(
                 "workload instance does not match the checkpointed stream "
                 f"({workload.name}/{workload.seed}/{workload.scale} vs "
-                f"{self.workload_name}/{self.workload_seed}/{self.workload_scale})"
+                f"{spec.name}/{spec.seed}/{spec.scale})"
             )
         return Machine.from_snapshot(config, workload, self.state)
 
@@ -116,12 +97,13 @@ class Checkpoint:
         """
         import hashlib
 
+        spec = self.workload
         payload = pickle.dumps(
             (
-                self.workload_name,
-                self.workload_seed,
-                self.workload_scale,
-                sorted((self.workload_params or {}).items()),
+                spec.name,
+                spec.seed,
+                spec.scale,
+                sorted(spec.params),
                 self.taken_at_transactions,
                 _canonicalize(self.state),
             ),
@@ -140,10 +122,24 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         """Load a checkpoint written by :meth:`save`."""
-        with open(path, "rb") as f:
-            checkpoint = pickle.load(f)
+        return cls.loads(Path(path).read_bytes())
+
+    @classmethod
+    def loads(cls, data: bytes) -> "Checkpoint":
+        """The checkpoint pickled in ``data`` -- the one loader every
+        store backend reads through.
+
+        Raises ``TypeError`` for anything else, including a checkpoint
+        pickled before ``workload`` was one
+        :class:`~repro.core.request.WorkloadSpec` (loose ``workload_*``
+        fields): stores treat that as a miss and warm up again, rather
+        than hand :meth:`materialize` a state it cannot rebuild.
+        """
+        checkpoint = pickle.loads(data)
         if not isinstance(checkpoint, cls):
-            raise TypeError(f"{path} does not contain a Checkpoint")
+            raise TypeError("data does not contain a Checkpoint")
+        if "workload" not in vars(checkpoint):
+            raise TypeError("checkpoint predates the WorkloadSpec layout")
         return checkpoint
 
 
@@ -156,11 +152,10 @@ WARMUP_PERTURBATION_SEED = 777
 def warm_checkpoint(
     config: SystemConfig,
     workload: Workload | str,
-    run=None,
     *,
-    warmup_transactions: int | None = None,
+    warmup_transactions: int,
     warmup_seed: int = WARMUP_PERTURBATION_SEED,
-    max_time_ns: int | None = None,
+    max_time_ns: int = 30_000_000_000,
     store=None,
     mode: str = "timed",
 ) -> Checkpoint:
@@ -169,11 +164,13 @@ def warm_checkpoint(
     The paper pays the warm-up cost once per workload -- record a Simics
     checkpoint after warm-up, then start every perturbed run from it
     (section 3.2.2).  This helper is that step as a library call: boot
-    ``workload`` cold under ``config``, run ``warmup_transactions`` (or
-    ``run.warmup_transactions``) under a *fixed* warm-up perturbation
-    stream, and capture the state.  Runs started from the returned
-    checkpoint with ``warmup_transactions=0`` then pay only the
-    measurement window, whatever the sample size.
+    ``workload`` cold under ``config``, run ``warmup_transactions``
+    under a *fixed* warm-up perturbation stream, and capture the state.
+    Runs started from the returned checkpoint with
+    ``warmup_transactions=0`` then pay only the measurement window,
+    whatever the sample size.
+    :meth:`repro.core.request.RunRequest.warm_checkpoint` reads these
+    arguments off a request.
 
     With ``store`` (a :class:`repro.store.RunStore`), the checkpoint is
     cached under its cause key (:func:`repro.store.warm_key`), so
@@ -191,14 +188,8 @@ def warm_checkpoint(
     check_warmup_mode(mode)
     if isinstance(workload, str):
         workload = make_workload(workload)
-    if warmup_transactions is None:
-        if run is None:
-            raise ValueError("pass warmup_transactions or a RunConfig")
-        warmup_transactions = run.warmup_transactions
     if warmup_transactions <= 0:
         raise ValueError("warm-up needs a positive transaction count")
-    if max_time_ns is None:
-        max_time_ns = run.max_time_ns if run is not None else 30_000_000_000
 
     key = None
     if store is not None:
@@ -206,10 +197,7 @@ def warm_checkpoint(
 
         key = warm_key(
             config,
-            workload.name,
-            workload.seed,
-            workload.scale,
-            _instance_params(workload),
+            WorkloadSpec.resolve(workload),
             warmup_transactions=warmup_transactions,
             warmup_seed=warmup_seed,
             max_time_ns=max_time_ns,
@@ -226,16 +214,6 @@ def warm_checkpoint(
     if store is not None:
         store.put_checkpoint(key, checkpoint)
     return checkpoint
-
-
-def _instance_params(workload: Workload) -> dict:
-    """Instance-level class-attribute overrides of a workload (the same
-    extraction :meth:`Checkpoint.capture` records)."""
-    return {
-        key: value
-        for key, value in vars(workload).items()
-        if key not in ("seed", "scale") and hasattr(type(workload), key)
-    }
 
 
 def make_checkpoints(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ProcessorConfig, RunConfig, SystemConfig
-from repro.core.runner import run_space
+from repro.core.runner import WorkloadSpec, run_space
 from repro.proc import base
 from repro.proc.base import (
     KIND_COND,
@@ -391,9 +391,7 @@ def drive(statics: dict, start: int, batches: list[int]) -> tuple:
     times = [core.instruction_time(n, ctx) for n in batches]
     checkpoint = Checkpoint(
         state={"core": core.snapshot(), "branch": ctx.snapshot()},
-        workload_name="kernel",
-        workload_seed=0,
-        workload_scale=1.0,
+        workload=WorkloadSpec("kernel", seed=0, scale=1.0),
         taken_at_transactions=0,
     )
     return times, core._mispredict_rate, ordered_snapshot(core), checkpoint.digest()

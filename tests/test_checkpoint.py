@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import RunConfig, SystemConfig
+from repro.core.request import RunRequest, WorkloadSpec
+from repro.core.runner import run_space
+from repro.store import RunStore
 from repro.system.checkpoint import Checkpoint, make_checkpoints
 from repro.system.machine import Machine
 from repro.workloads.registry import make_workload
@@ -113,6 +116,57 @@ class TestPersistence:
             pickle.dump({"not": "a checkpoint"}, f)
         with pytest.raises(TypeError):
             Checkpoint.load(path)
+
+
+def pre_workload_spec_layout(checkpoint: Checkpoint) -> Checkpoint:
+    """``checkpoint`` as versions before ``Checkpoint.workload`` pickled it:
+    the workload identity in four loose ``workload_*`` attributes."""
+    old = object.__new__(Checkpoint)
+    spec = checkpoint.workload
+    vars(old).update(
+        state=checkpoint.state,
+        workload_name=spec.name,
+        workload_seed=spec.seed,
+        workload_scale=spec.scale,
+        taken_at_transactions=checkpoint.taken_at_transactions,
+        workload_params=spec.params_dict,
+    )
+    return old
+
+
+class TestPreWorkloadSpecLayout:
+    def test_load_rejects_the_old_layout(self, tmp_path):
+        path = tmp_path / "old.pkl"
+        pre_workload_spec_layout(Checkpoint.capture(warmed_machine())).save(path)
+        with pytest.raises(TypeError, match="predates"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("kind", ["dir", "sqlite"])
+    def test_warm_start_rewarms_over_an_old_stored_checkpoint(self, tmp_path, kind):
+        """A store written before the layout change holds an old checkpoint
+        under the very warm key a sample asks for: the store warns, the
+        sample warms up again and lands the fresh store's results."""
+        config = SystemConfig(n_cpus=4)
+        run = RunConfig(measured_transactions=10, warmup_transactions=30, seed=3)
+        params = {"threads_per_cpu": 2}
+        stated = RunRequest(config, WorkloadSpec.resolve("oltp", workload_params=params), run)
+        key = stated.warm_checkpoint_key()
+        store = RunStore(tmp_path / "old", backend=kind)
+        store.put_checkpoint(key, pre_workload_spec_layout(stated.warm_checkpoint()))
+
+        def sample(store):
+            return [
+                result.to_dict()
+                for result in run_space(
+                    config, "oltp", run, 2, workload_params=params, warm_start=True,
+                    store=store,
+                ).results
+            ]
+
+        with pytest.warns(RuntimeWarning, match="predates"):
+            rewarmed = sample(store)
+        assert rewarmed == sample(RunStore(tmp_path / "fresh", backend=kind))
+        assert store.get_checkpoint(key).workload == stated.workload
 
 
 class TestValidation:

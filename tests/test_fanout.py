@@ -111,12 +111,10 @@ class TestWarmStartSemantics:
 
     def test_warm_keys_differ_from_cold_keys(self):
         spec = WorkloadSpec.resolve("oltp")
-        cold = run_key(CONFIG, RUN, spec.name, spec.seed, spec.scale)
+        cold = run_key(CONFIG, RUN, spec)
         wkey = warm_key(
             CONFIG,
-            spec.name,
-            spec.seed,
-            spec.scale,
+            spec,
             warmup_transactions=RUN.warmup_transactions,
             warmup_seed=WARMUP_PERTURBATION_SEED,
             max_time_ns=RUN.max_time_ns,
@@ -124,9 +122,7 @@ class TestWarmStartSemantics:
         warm = run_key(
             CONFIG,
             dataclasses.replace(RUN, warmup_transactions=0),
-            spec.name,
-            spec.seed,
-            spec.scale,
+            spec,
             checkpoint_digest=f"warm:{wkey}",
         )
         assert cold != warm
@@ -192,19 +188,6 @@ class TestWarmCheckpointCache:
         assert helper.digest() == manual.digest()
 
 
-class TestCheckpointParamsNormalization:
-    def test_none_params_normalize_to_empty_dict(self):
-        ckpt = Checkpoint(
-            state={},
-            workload_name="oltp",
-            workload_seed=1,
-            workload_scale=1.0,
-            taken_at_transactions=0,
-            workload_params=None,
-        )
-        assert ckpt.workload_params == {}
-
-
 class TestGetMany:
     def test_returns_only_found_keys(self, tmp_path):
         store = RunStore(tmp_path)
@@ -251,21 +234,6 @@ class TestExecuteShared:
         )
         assert results == {}
         assert [f.kind for f in failures] == ["timeout"]
-
-    def test_overrides_apply_per_seed(self):
-        long_run = dataclasses.replace(RUN, measured_transactions=60)
-        results, failures = execute_shared(
-            self._context(),
-            [11, 12],
-            overrides={12: {"measured_transactions": 60}},
-            n_jobs=1,
-        )
-        assert failures == []
-        direct = run_simulation(
-            CONFIG, make_workload("oltp"), dataclasses.replace(long_run, seed=12)
-        )
-        assert results[12].to_dict() == direct.to_dict()
-        assert results[11].measured_transactions < results[12].measured_transactions
 
     def test_on_result_fires_per_completion(self):
         seen = []

@@ -19,6 +19,7 @@ import dataclasses
 import pytest
 
 from repro.config import RunConfig, SystemConfig
+from repro.core.request import WorkloadSpec
 from repro.core.sampling import multi_window_sample
 from repro.probes import (
     CacheTrafficProbe,
@@ -242,22 +243,19 @@ class TestWarmupModePlumbing:
         assert helper.digest() == Checkpoint.capture(machine).digest()
 
     def test_keys_separate_modes(self):
-        timed_key = run_key(CONFIG, self.RUN, "oltp", 12345, 1.0)
-        functional_key = run_key(
-            CONFIG, self.RUN, "oltp", 12345, 1.0, warmup_mode="functional"
-        )
+        oltp = WorkloadSpec.resolve("oltp")
+        timed_key = run_key(CONFIG, self.RUN, oltp)
+        functional_key = run_key(CONFIG, self.RUN, oltp, warmup_mode="functional")
         assert timed_key != functional_key
         # explicit "timed" is the historical key, byte-identical
-        assert timed_key == run_key(
-            CONFIG, self.RUN, "oltp", 12345, 1.0, warmup_mode="timed"
-        )
+        assert timed_key == run_key(CONFIG, self.RUN, oltp, warmup_mode="timed")
         common = dict(
             warmup_transactions=60,
             warmup_seed=WARMUP_PERTURBATION_SEED,
             max_time_ns=self.RUN.max_time_ns,
         )
-        assert warm_key(CONFIG, "oltp", 12345, 1.0, **common) != warm_key(
-            CONFIG, "oltp", 12345, 1.0, warmup_mode="functional", **common
+        assert warm_key(CONFIG, oltp, **common) != warm_key(
+            CONFIG, oltp, warmup_mode="functional", **common
         )
 
     def test_campaign_spec_validates_mode(self):

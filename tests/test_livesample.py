@@ -776,11 +776,6 @@ class TestSurveyOncePerCell:
         results, failures = execute_shared(context, list(self.SEEDS)[:4])
         assert not failures and len(results) == 4
         assert len(surveys) == 1
-        # ... and an override that moves a scout input gets its own survey
-        execute_shared(
-            context, [40, 41], overrides={41: {"measured_transactions": 32}}
-        )
-        assert len(surveys) == 3
 
     def test_live_campaign_bytes_do_not_depend_on_width(self, tmp_path):
         from repro.campaign import Campaign, CampaignSpec

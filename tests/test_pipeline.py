@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from repro.core.fanout import (
     execute_shared,
     run_cells,
 )
-from repro.core.request import effective_config
+from repro.core.request import RunRequest, effective_config
 from repro.core.runner import WorkloadSpec
 from repro.core.sampling import AdaptiveStopRule
 from repro.store import RunStore
@@ -128,7 +129,8 @@ class TestRunCells:
         trail = []
 
         def cell(name):
-            checkpoint = yield WarmOrder(CONFIG, OLTP, 10, RUN.max_time_ns)
+            stated = RunRequest(CONFIG, OLTP, replace(RUN, warmup_transactions=10))
+            checkpoint = yield WarmOrder(stated)
             trail.append((name, "warm"))
             context = SharedRunContext(
                 config=CONFIG, spec=OLTP, run=RunConfig(measured_transactions=5, seed=1),

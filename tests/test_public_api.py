@@ -224,3 +224,19 @@ def test_runtime_imports_only_the_standard_library():
                *(REPO / "benchmarks").glob("*.py")]
     for path in sorted(sources):
         assert not re.search(r"scipy|numpy", path.read_text()), path
+
+
+def test_importing_the_paper_figure_harness_creates_no_store(tmp_path):
+    """``benchmarks/common.py`` opens its run store on first use, so a
+    script that only imports it (pytest collecting the benches, say)
+    leaves no directory behind."""
+    root = tmp_path / "store"
+    done = subprocess.run(
+        [sys.executable, "-c", "import benchmarks.common"],
+        env={**os.environ, "PYTHONPATH": f"{REPO / 'src'}{os.pathsep}{REPO}",
+             "REPRO_STORE_DIR": str(root)},
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not root.exists()
+    assert list(tmp_path.iterdir()) == []

@@ -119,19 +119,8 @@ class TestKeyStability:
         )
         expected = pre_refactor_run_key(config, run, wspec, ckpt)
         assert request.run_key == expected
-        # ...and the loose-argument spelling agrees with both.
-        assert (
-            run_key(
-                config,
-                run,
-                wspec.name,
-                wspec.seed,
-                wspec.scale,
-                wspec.params_dict,
-                checkpoint_digest=ckpt,
-            )
-            == expected
-        )
+        # ...and the store-side function agrees with both.
+        assert run_key(config, run, wspec, checkpoint_digest=ckpt) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(config=configs(), run=run_configs(), wspec=workload_specs())
@@ -149,10 +138,7 @@ class TestKeyStability:
         assert (
             warm_key(
                 config,
-                wspec.name,
-                wspec.seed,
-                wspec.scale,
-                wspec.params_dict,
+                wspec,
                 warmup_transactions=run.warmup_transactions,
                 warmup_seed=WARMUP_PERTURBATION_SEED,
                 max_time_ns=run.max_time_ns,

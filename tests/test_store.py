@@ -14,7 +14,7 @@ from repro.config import (
     RunConfig,
     SystemConfig,
 )
-from repro.core.runner import RunSample, run_space
+from repro.core.runner import RunSample, WorkloadSpec, run_space
 from repro.store import RunStore, canonical_json, run_key
 from repro.system.simulation import SimulationResult
 
@@ -50,6 +50,11 @@ def random_run_config(rng: random.Random) -> RunConfig:
     )
 
 
+def wspec(name="oltp", seed=12345, scale=1.0, **params) -> WorkloadSpec:
+    """A workload identity, params in the order given."""
+    return WorkloadSpec(name, seed, scale, tuple(params.items()))
+
+
 class TestKeys:
     def test_same_inputs_same_key(self):
         """Property: key is a pure function of the run's cause."""
@@ -57,31 +62,27 @@ class TestKeys:
         for _ in range(20):
             config = random_system_config(rng)
             run = random_run_config(rng)
-            k1 = run_key(config, run, "oltp", 12345, 1.0, {"threads_per_cpu": 2})
+            k1 = run_key(config, run, wspec(threads_per_cpu=2))
             k2 = run_key(
                 SystemConfig.from_dict(config.to_dict()),
                 RunConfig.from_dict(run.to_dict()),
-                "oltp", 12345, 1.0, {"threads_per_cpu": 2},
+                wspec(threads_per_cpu=2),
             )
             assert k1 == k2
 
     def test_any_field_change_changes_key(self):
-        base = run_key(CONFIG, RUN, "oltp", 12345, 1.0, {})
-        assert run_key(CONFIG.with_dram_latency(200), RUN, "oltp", 12345, 1.0, {}) != base
-        assert run_key(CONFIG, RunConfig(measured_transactions=10, seed=4),
-                       "oltp", 12345, 1.0, {}) != base
-        assert run_key(CONFIG, RUN, "apache", 12345, 1.0, {}) != base
-        assert run_key(CONFIG, RUN, "oltp", 999, 1.0, {}) != base
-        assert run_key(CONFIG, RUN, "oltp", 12345, 2.0, {}) != base
-        assert run_key(CONFIG, RUN, "oltp", 12345, 1.0, {"threads_per_cpu": 2}) != base
-        assert run_key(CONFIG, RUN, "oltp", 12345, 1.0, {},
-                       checkpoint_digest="abc") != base
+        base = run_key(CONFIG, RUN, wspec())
+        assert run_key(CONFIG.with_dram_latency(200), RUN, wspec()) != base
+        assert run_key(CONFIG, RunConfig(measured_transactions=10, seed=4), wspec()) != base
+        assert run_key(CONFIG, RUN, wspec("apache")) != base
+        assert run_key(CONFIG, RUN, wspec(seed=999)) != base
+        assert run_key(CONFIG, RUN, wspec(scale=2.0)) != base
+        assert run_key(CONFIG, RUN, wspec(threads_per_cpu=2)) != base
+        assert run_key(CONFIG, RUN, wspec(), checkpoint_digest="abc") != base
 
     def test_param_order_irrelevant(self):
-        a = run_key(CONFIG, RUN, "oltp", 12345, 1.0,
-                    {"threads_per_cpu": 2, "n_hot_districts": 3})
-        b = run_key(CONFIG, RUN, "oltp", 12345, 1.0,
-                    {"n_hot_districts": 3, "threads_per_cpu": 2})
+        a = run_key(CONFIG, RUN, wspec(threads_per_cpu=2, n_hot_districts=3))
+        b = run_key(CONFIG, RUN, wspec(n_hot_districts=3, threads_per_cpu=2))
         assert a == b
 
     def test_canonical_json_sorted_and_compact(self):
@@ -298,3 +299,22 @@ class TestRunSpaceStoreIntegration:
                          checkpoint=checkpoint)
         assert len(store) == 2  # distinct keys
         assert cold.values != warm.values
+
+
+class TestSQLiteWrite:
+    def test_an_error_outside_the_retry_set_fails_at_once(self, tmp_path):
+        """The work queue's ``UNIQUE`` violation is a real error: the shared
+        write policy retries lock timeouts only, unless a caller adds more."""
+        import sqlite3
+
+        from repro.store.backends import sqlite_write
+
+        calls = []
+
+        def body(conn):
+            calls.append(1)
+            raise sqlite3.IntegrityError("UNIQUE constraint failed")
+
+        with pytest.raises(sqlite3.IntegrityError):
+            sqlite_write(tmp_path / "db.sqlite", body)
+        assert len(calls) == 1
