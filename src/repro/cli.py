@@ -548,10 +548,12 @@ def cmd_campaign_serve(args: argparse.Namespace) -> int:
 def cmd_campaign_worker(args: argparse.Namespace) -> int:
     """Run one worker daemon against the shared store and queue.
 
-    The worker leases cells, executes them through the same
-    warm-state/fast-forward path as in-process campaigns, heartbeats
-    while running, and publishes results through the store.  ``--drain``
-    exits when no work remains; the default is to idle for more.
+    The worker leases cells and runs each leased seed through its cell's
+    ``CellSampler``, the executor of in-process campaigns: the sampler
+    serves a stored result, reads or builds the warm checkpoint and
+    stores each result.  The worker heartbeats while a seed runs and
+    reports to the queue.  ``--drain`` exits when no work remains; the
+    default is to idle for more.
     """
     from repro.service import Worker
 

@@ -31,7 +31,8 @@ window alone:
   seed batches, so the next cell warms while this one measures.
   :func:`execute_shared` is the one-order case;
 - **one sampler, one dispatch**: :class:`CellSampler` is the generator
-  body of every cell -- ``run_space``'s and each campaign cell's alike:
+  body of every cell -- ``run_space``'s, each campaign cell's and each
+  cell a service worker holds leases of alike:
   resolve keys, serve what the store holds, order the warm-up and the
   pending seeds, persist each result -- and :func:`_simulate_resident`
   is the one place a run's modes pick its measurement routine.
@@ -132,43 +133,34 @@ class SharedRunContext:
 class _Resident:
     """Worker-resident warm state for one shared context.
 
-    The context is opened once per cell, on first use, into a pristine
-    machine -- its checkpoint materialized, or its workload booted cold
-    -- that is never run; every seed (and every live-sampling pass)
-    starts from a :meth:`~repro.system.machine.Machine.clone` of it.
-    A resident that serves a ``single_run``
-    (:func:`repro.core.request.execute_request`) has nothing to keep the
-    pristine machine for and hands it to the run itself.
+    The context is opened once, on first use, into a pristine machine --
+    its checkpoint materialized, or its workload booted cold -- that is
+    never run; every seed (and every live-sampling pass) starts from a
+    :meth:`~repro.system.machine.Machine.clone` of it.  A pool worker
+    keeps one per shipment key; in-process, a cell's
+    :class:`CellSampler` owns one for as long as the sampler lives.
 
     Live-sampled cells also keep their survey here (``survey_memo``):
     the scout pass does not depend on the perturbation seed, so the
     first seed to need it runs it for all of them.
     """
 
-    __slots__ = ("context", "single_run", "_pristine", "survey_memo")
+    __slots__ = ("context", "_pristine", "survey_memo")
 
-    def __init__(self, context: SharedRunContext, single_run: bool = False) -> None:
+    def __init__(self, context: SharedRunContext) -> None:
         self.context = context
-        self.single_run = single_run
         self._pristine: Machine | None = None
         self.survey_memo: dict = {}
-
-    def _open(self) -> Machine:
-        """The context's initial conditions as a machine that has never run."""
-        ctx = self.context
-        if ctx.checkpoint is not None:
-            return ctx.checkpoint.materialize(ctx.effective)
-        return Machine(ctx.effective, ctx.spec.make())
 
     def fresh_machine(self) -> Machine:
         """An independent pristine machine for one seed or pass."""
         if self._pristine is None:
-            self._pristine = self._open()
+            ctx = self.context
+            if ctx.checkpoint is not None:
+                self._pristine = ctx.checkpoint.materialize(ctx.effective)
+            else:
+                self._pristine = Machine(ctx.effective, ctx.spec.make())
         return self._pristine.clone()
-
-    def run_machine(self) -> Machine:
-        """The machine of one whole run."""
-        return self._open() if self.single_run else self.fresh_machine()
 
 
 #: per-worker cache: shipment key -> resident warm state, oldest first.
@@ -206,8 +198,9 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
     """One measured run from a resident template: the one run dispatch.
 
     The only place that picks a measurement routine from a run's modes;
-    every seed of a fan-out sample and every
-    :func:`repro.core.request.execute_request` call ends here.
+    every seed of a sample -- pooled, in-process or leased by a service
+    worker -- and every :func:`repro.core.request.execute_request` call
+    ends here.
     """
     ctx = resident.context
     if ctx.sampling_mode == "live":
@@ -224,7 +217,7 @@ def _simulate_resident(resident: _Resident, run: RunConfig) -> SimulationResult:
             survey_memo=resident.survey_memo,
         )
     return measure_machine(
-        resident.run_machine(),
+        resident.fresh_machine(),
         ctx.effective,
         run,
         warmup_mode=ctx.warmup_mode,
@@ -269,7 +262,8 @@ class WarmOrder:
     """A cell asks for the shared warm checkpoint of its stated
     ``request`` (:meth:`~repro.core.request.RunRequest.warm_checkpoint`).
 
-    Answered with the :class:`~repro.system.checkpoint.Checkpoint`, or
+    Answered with the :class:`~repro.system.checkpoint.Checkpoint`; with
+    the rendered error (a ``str``) when the warm-up raised; or with
     ``None`` when the worker building it died past the crash budget.
     The builder sees no store: persisting the answer is the cell's job,
     in the parent, which stays the store's only writer.
@@ -280,17 +274,24 @@ class WarmOrder:
 
 @dataclass(frozen=True)
 class SeedOrder:
-    """A cell asks for ``seeds`` to be run against ``context``.
+    """A cell asks for ``seeds`` to be run from ``resident``'s context.
 
     Answered with ``(results, failures)``; the two partitions cover
     every seed.  ``on_result(seed, result)`` fires in the parent as each
     run completes (persist there -- that is what makes interrupts
-    resumable).
+    resumable).  In-process, the seeds run on ``resident`` itself, so a
+    caller that keeps one across its orders (a :class:`CellSampler`)
+    opens its context once; a bare :class:`SharedRunContext` is opened
+    for this order alone.  A pool ships only the context.
     """
 
-    context: SharedRunContext
+    resident: _Resident
     seeds: list[int]
     on_result: Callable[[int, SimulationResult], None] | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.resident, SharedRunContext):
+            object.__setattr__(self, "resident", _Resident(self.resident))
 
     def record(self, outcome: tuple, seed: int, status: str, payload) -> None:
         """File one finished run into ``outcome``'s (results, failures)."""
@@ -304,7 +305,10 @@ class SeedOrder:
 
 def _run_warm(order: WarmOrder):
     """Task body of a :class:`WarmOrder` (worker or in-process)."""
-    return order.request.warm_checkpoint()
+    try:
+        return order.request.warm_checkpoint()
+    except Exception as exc:  # noqa: BLE001 -- fail the cell, not the campaign
+        return format_failure(exc)
 
 
 def _run_jobs(resident: _Resident, seeds, timeout_s: float | None):
@@ -374,12 +378,11 @@ def run_cells(
 def _run_inline(cell: Generator, timeout_s: float | None):
     """Fulfil one cell's orders in this process, as it gives them.
 
-    Successive seed orders that carry the same context object (an
-    adaptive cell's batches) share one resident, as a pool worker's do
-    by shipment key: the context is opened, and a live cell surveyed,
-    once per cell rather than once per order.
+    Seed orders run on the resident they carry, so the orders of one
+    sampler -- an adaptive cell's batches, or a service worker's leased
+    seeds -- open the context, and survey a live cell, once.
     """
-    reply = resident = None
+    reply = None
     try:
         while True:
             order = cell.send(reply)
@@ -387,10 +390,8 @@ def _run_inline(cell: Generator, timeout_s: float | None):
             if isinstance(order, WarmOrder):
                 reply = _run_warm(order)
             else:
-                if resident is None or resident.context is not order.context:
-                    resident = _Resident(order.context)
                 reply = ({}, [])
-                for triple in _run_jobs(resident, order.seeds, timeout_s):
+                for triple in _run_jobs(order.resident, order.seeds, timeout_s):
                     order.record(reply, *triple)
             log.debug("in-process %s took %.3fs", type(order).__name__, time.perf_counter() - start)
     except StopIteration as stop:
@@ -494,7 +495,7 @@ class _Pipeline:
             reply = cell.outcome = ({}, [])
             batches = _batches(order.seeds, self.n_jobs, self.batch_size)
             if batches:
-                cell.shipment = _shipment(order.context)
+                cell.shipment = _shipment(order.resident.context)
                 cell.open = len(batches)
                 self.ready.extend(self._batch_task(cell, batch) for batch in batches)
                 return
@@ -593,8 +594,9 @@ class CellSampler:
     seeds at a time.
 
     This is the only sample executor: ``run_space`` drives one, a
-    :class:`~repro.campaign.campaign.Campaign` one per grid cell, both
-    through :func:`run_cells`.  ``stated`` is the sample's protocol as
+    :class:`~repro.campaign.campaign.Campaign` one per grid cell, and a
+    service :class:`~repro.service.worker.Worker` one per cell it holds
+    leases of, all through :func:`run_cells`.  ``stated`` is the sample's protocol as
     asked for; what each seed runs and is keyed by is
     ``stated.seed_template(warm_start)``.  With a ``store``, stored runs
     are served instead of executed and each new result is persisted the
@@ -624,9 +626,10 @@ class CellSampler:
         self.cached_hits = 0
         self.executed = 0
         self._keys: dict[int, str] = {}
-        # One shared context per cell, built when a batch first executes.
-        self._context: SharedRunContext | None = None
-        self._warm_error: str | None = None
+        # One resident per cell, built when a batch first executes: every
+        # in-process batch clones the one machine it opens.
+        self._resident: _Resident | None = None
+        self._warm_failure: tuple[str, str] | None = None  # (error, kind)
 
     def collect(self, seeds: list[int]):
         """Sample ``seeds``: serve what the store holds, order the rest.
@@ -652,14 +655,14 @@ class CellSampler:
             self.cached_hits += len(seeds) - len(pending)
         if not pending:
             return {}, []
-        if self._context is None and self._warm_error is None:
+        if self._resident is None and self._warm_failure is None:
             checkpoint = (yield from self._warm()) if self.warm_start else self.checkpoint
-            if self._warm_error is None:
-                self._context = SharedRunContext.from_request(self.template, checkpoint)
-        if self._context is None:
-            done, fails = {}, [RunFailure(seed, self._warm_error, "crash") for seed in pending]
+            if self._warm_failure is None:
+                self._resident = _Resident(SharedRunContext.from_request(self.template, checkpoint))
+        if self._resident is None:
+            done, fails = {}, [RunFailure(seed, *self._warm_failure) for seed in pending]
         else:
-            done, fails = yield SeedOrder(self._context, pending, on_result=self._persist)
+            done, fails = yield SeedOrder(self._resident, pending, on_result=self._persist)
         self.executed += len(done)
         self.failures.extend(fails)
         return done, fails
@@ -673,7 +676,9 @@ class CellSampler:
         if checkpoint is None:
             checkpoint = yield WarmOrder(stated)
             if checkpoint is None:
-                self._warm_error = "warm-up worker crashed past the retry budget"
+                self._warm_failure = ("warm-up worker crashed past the retry budget", "crash")
+            elif isinstance(checkpoint, str):
+                self._warm_failure = (checkpoint, "error")
             elif store is not None:
                 store.put_checkpoint(warm_key, checkpoint)
         return checkpoint

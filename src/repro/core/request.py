@@ -378,15 +378,15 @@ class RunRequest:
             warmup_mode=self.warmup_mode,
         )
 
-    def warm_checkpoint(self, store=None):
+    def warm_checkpoint(self):
         """This request's shared warm-up checkpoint, the one
         :meth:`warm_checkpoint_key` names: the warm-up leg run under the
-        fidelity-effective configuration, or -- with ``store`` -- the
-        copy the store already holds under that key.
+        fidelity-effective configuration.
 
-        The one place a warm-up's cause is read off a request: the
-        fan-out engine's warm-up task calls it with no store (the parent
-        persists), a service worker with its store.
+        The one place a warm-up's cause is read off a request, by the
+        fan-out engine's warm-up task; reading and storing the
+        checkpoint under its key is the
+        :class:`~repro.core.fanout.CellSampler`'s job, in the parent.
         """
         # A module attribute, not an imported name: tracers wrap it there.
         from repro.system import checkpoint as checkpoint_mod
@@ -396,7 +396,6 @@ class RunRequest:
             self.workload.make(),
             warmup_transactions=self.run.warmup_transactions,
             max_time_ns=self.run.max_time_ns,
-            store=store,
             mode=self.warmup_mode,
         )
 
@@ -434,12 +433,13 @@ def execute_request(request: RunRequest, checkpoint=None):
     """Execute one run request and return its ``SimulationResult``.
 
     The single-run entry of the one run dispatch
-    (:func:`repro.core.fanout._simulate_resident`): a campaign service
-    worker's cell, or any caller holding one request, runs exactly what
-    a seed of a fan-out sample runs, so served, pooled and in-process
-    results are bit-identical.  The initial conditions are opened for
-    this run alone -- no resident copy is kept, so a fixed-mode run pays
-    no clone.
+    (:func:`repro.core.fanout._simulate_resident`): any caller holding
+    one request runs exactly what a seed of a sample runs, so its result
+    is bit-identical to a pooled, in-process or served one.  The initial
+    conditions are opened for this run alone, into an ordinary resident
+    the run clones (about 1-2 ms).  Samples, service workers' included,
+    go through :class:`~repro.core.fanout.CellSampler` instead, which
+    opens a cell's state once for all its seeds.
 
     ``checkpoint`` is the materialized
     :class:`~repro.system.checkpoint.Checkpoint` when
@@ -455,7 +455,7 @@ def execute_request(request: RunRequest, checkpoint=None):
             "materialized checkpoint was supplied"
         )
     context = SharedRunContext.from_request(request, checkpoint)
-    return _simulate_resident(_Resident(context, single_run=True), request.run)
+    return _simulate_resident(_Resident(context), request.run)
 
 
 def format_failure(exc: BaseException, *, frames: int = 3) -> str:

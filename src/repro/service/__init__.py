@@ -14,9 +14,10 @@ package shards those grids across processes and hosts:
   heartbeat-renewed expiry, requeued when a lease lapses (worker
   crash), and quarantined after too many failed attempts;
 - :mod:`repro.service.worker` -- the worker daemon
-  (``python -m repro campaign worker``): pull a lease, execute the cell
-  through the same run dispatch in-process campaigns use, heartbeat
-  while running, publish the result through the store;
+  (``python -m repro campaign worker``): pull a lease, run the seed
+  through its cell's :class:`~repro.core.fanout.CellSampler` -- the
+  executor in-process campaigns use, which also publishes the result
+  through the store -- and heartbeat while it runs;
 - :mod:`repro.service.server` -- the HTTP front door
   (``python -m repro campaign serve``, stdlib ``ThreadingHTTPServer``):
   accepts study submissions as JSON, deduplicates submitted cells
@@ -29,12 +30,10 @@ Correctness contract: a campaign executed via server + workers yields
 per-run payloads byte-identical to the same spec run through the
 in-process :class:`~repro.campaign.campaign.Campaign` -- the service
 changes *where* cells run, never *what* a run means.  That holds because
-a worker derives its cell from the same template
-(:meth:`repro.core.request.RunRequest.seed_template`), runs it through
-the same dispatch (:func:`repro.core.request.execute_request`) from the
-same cause-keyed warm checkpoint
-(:func:`repro.system.checkpoint.warm_checkpoint`) as the in-process
-path, and results are keyed by the same content addresses.
+a worker runs its seed through the very sampler an in-process campaign
+cell runs (:class:`repro.core.fanout.CellSampler`, built from the same
+stated request), from the same cause-keyed warm checkpoint, and results
+are keyed by the same content addresses.
 """
 
 from repro.service.protocol import (

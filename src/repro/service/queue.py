@@ -87,7 +87,9 @@ CREATE TABLE IF NOT EXISTS events (
 CREATE INDEX IF NOT EXISTS events_by_campaign ON events (campaign_id, seq);
 """
 
-#: states a cell can rest in ("leased" is the only one with an owner)
+#: states a cell can rest in ("leased" is the only one with an owner;
+#: no transition writes "failed", whose always-0 count the ledger's
+#: pinned service_drain digests still list)
 CELL_STATES = ("pending", "leased", "done", "failed", "quarantined", "cached")
 
 #: states that need no further work
@@ -210,13 +212,32 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Leasing
     # ------------------------------------------------------------------
+    def _retry_or_quarantine(
+        self, conn, campaign_id: str, max_attempts: int, now: float, kind: str,
+        detail: dict, error: str | None = None,
+    ) -> None:
+        """Take the cell ``detail`` names off its lease: back to
+        ``pending`` while attempts remain, else ``quarantined``.  Logs
+        ``kind`` (``detail`` plus whether the cell was requeued), then
+        ``quarantined`` if it was not; ``error``, when given, replaces the
+        cell's last error."""
+        poisoned = detail["attempts"] >= max_attempts
+        conn.execute(
+            "UPDATE cells SET state = ?, worker = NULL, lease_expiry = NULL,"
+            " error = COALESCE(?, error), finished_at = ? WHERE id = ?",
+            ("quarantined" if poisoned else "pending", error, now if poisoned else None,
+             detail["cell"]),
+        )
+        self._event(conn, campaign_id, kind, {**detail, "requeued": not poisoned}, now)
+        if poisoned:
+            quarantined = {key: detail[key] for key in ("cell", "run_key", "attempts")}
+            self._event(conn, campaign_id, "quarantined", quarantined, now)
+
     def _requeue_lapsed(self, conn, now: float) -> None:
         """Requeue (or quarantine) every cell whose lease has lapsed.
 
         Runs inside the caller's write transaction.  ``attempts`` was
-        charged at claim time, so a lapse only moves state: back to
-        ``pending`` while attempts remain, to ``quarantined`` once the
-        campaign's budget is spent.
+        charged at claim time, so a lapse only moves state.
         """
         rows = conn.execute(
             "SELECT c.id, c.campaign_id, c.run_key, c.worker, c.attempts,"
@@ -226,34 +247,8 @@ class WorkQueue:
             (now,),
         ).fetchall()
         for cell_id, campaign_id, run_key, worker, attempts, max_attempts in rows:
-            poisoned = attempts >= max_attempts
-            state = "quarantined" if poisoned else "pending"
-            conn.execute(
-                "UPDATE cells SET state = ?, worker = NULL, lease_expiry = NULL,"
-                " finished_at = ? WHERE id = ?",
-                (state, now if poisoned else None, cell_id),
-            )
-            self._event(
-                conn,
-                campaign_id,
-                "lease-expired",
-                {
-                    "cell": cell_id,
-                    "run_key": run_key,
-                    "worker": worker,
-                    "attempts": attempts,
-                    "requeued": not poisoned,
-                },
-                now,
-            )
-            if poisoned:
-                self._event(
-                    conn,
-                    campaign_id,
-                    "quarantined",
-                    {"cell": cell_id, "run_key": run_key, "attempts": attempts},
-                    now,
-                )
+            detail = {"cell": cell_id, "run_key": run_key, "worker": worker, "attempts": attempts}
+            self._retry_or_quarantine(conn, campaign_id, max_attempts, now, "lease-expired", detail)
 
     def claim(
         self,
@@ -353,48 +348,6 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _finish(
-        self,
-        cell_id: int,
-        worker_id: str,
-        now: float,
-        *,
-        to_state: str,
-        kind: str,
-        detail_extra: dict,
-        error: str | None = None,
-    ) -> bool:
-        def body(conn):
-            row = conn.execute(
-                "SELECT campaign_id, run_key, attempts FROM cells"
-                " WHERE id = ? AND worker = ? AND state = 'leased'",
-                (cell_id, worker_id),
-            ).fetchone()
-            if row is None:
-                return False  # lease lost; result (if any) is still cached
-            campaign_id, run_key, attempts = row
-            conn.execute(
-                "UPDATE cells SET state = ?, worker = NULL, lease_expiry = NULL,"
-                " error = ?, finished_at = ? WHERE id = ?",
-                (to_state, error, now, cell_id),
-            )
-            self._event(
-                conn,
-                campaign_id,
-                kind,
-                {
-                    "cell": cell_id,
-                    "run_key": run_key,
-                    "worker": worker_id,
-                    "attempts": attempts,
-                    **detail_extra,
-                },
-                now,
-            )
-            return True
-
-        return sqlite_write(self.path, body)
-
     def complete(
         self,
         cell_id: int,
@@ -409,14 +362,37 @@ class WorkQueue:
         result is content-addressed: whoever re-runs the cell writes
         identical bytes."""
         now = time.time() if now is None else now
-        return self._finish(
-            cell_id,
-            worker_id,
-            now,
-            to_state="done",
-            kind="done",
-            detail_extra={"cached": cached},
-        )
+
+        def body(conn):
+            row = conn.execute(
+                "SELECT campaign_id, run_key, attempts FROM cells"
+                " WHERE id = ? AND worker = ? AND state = 'leased'",
+                (cell_id, worker_id),
+            ).fetchone()
+            if row is None:
+                return False  # lease lost; result (if any) is still cached
+            campaign_id, run_key, attempts = row
+            conn.execute(
+                "UPDATE cells SET state = 'done', worker = NULL, lease_expiry = NULL,"
+                " error = NULL, finished_at = ? WHERE id = ?",
+                (now, cell_id),
+            )
+            self._event(
+                conn,
+                campaign_id,
+                "done",
+                {
+                    "cell": cell_id,
+                    "run_key": run_key,
+                    "worker": worker_id,
+                    "attempts": attempts,
+                    "cached": cached,
+                },
+                now,
+            )
+            return True
+
+        return sqlite_write(self.path, body)
 
     def fail(
         self,
@@ -440,35 +416,14 @@ class WorkQueue:
             if row is None:
                 return False
             campaign_id, run_key, attempts, max_attempts = row
-            poisoned = attempts >= max_attempts
-            state = "quarantined" if poisoned else "pending"
-            conn.execute(
-                "UPDATE cells SET state = ?, worker = NULL, lease_expiry = NULL,"
-                " error = ?, finished_at = ? WHERE id = ?",
-                (state, error, now if poisoned else None, cell_id),
-            )
-            self._event(
-                conn,
-                campaign_id,
-                "failed",
-                {
-                    "cell": cell_id,
-                    "run_key": run_key,
-                    "worker": worker_id,
-                    "attempts": attempts,
-                    "error": error[:500],
-                    "requeued": not poisoned,
-                },
-                now,
-            )
-            if poisoned:
-                self._event(
-                    conn,
-                    campaign_id,
-                    "quarantined",
-                    {"cell": cell_id, "run_key": run_key, "attempts": attempts},
-                    now,
-                )
+            detail = {
+                "cell": cell_id,
+                "run_key": run_key,
+                "worker": worker_id,
+                "attempts": attempts,
+                "error": error[:500],
+            }
+            self._retry_or_quarantine(conn, campaign_id, max_attempts, now, "failed", detail, error)
             return True
 
         return sqlite_write(self.path, body)

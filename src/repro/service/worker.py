@@ -1,32 +1,30 @@
 """The campaign worker daemon (``python -m repro campaign worker``).
 
-A worker owns no campaign state: it pulls one lease at a time from the
-shared :class:`~repro.service.queue.WorkQueue`, executes the cell, and
-publishes the result through the shared :class:`~repro.store.RunStore`.
-Everything that matters for correctness is therefore in infrastructure
-the in-process path already trusts:
+A worker owns no campaign state and no execution path of its own: it
+pulls one lease at a time from the shared
+:class:`~repro.service.queue.WorkQueue` and runs the leased seed as one
+``collect([seed])`` of the cell's
+:class:`~repro.core.fanout.CellSampler`, built exactly as an in-process
+:class:`~repro.campaign.campaign.Campaign` cell builds it and driven by
+the same :func:`~repro.core.fanout.run_cells`.  The sampler serves a
+result the store already holds, reads the cell's warm checkpoint from
+the store or orders the warm-up and stores it, runs the seed through
+the one run dispatch, persists the result with the campaign's journal
+fields and captures a failure as a ``RunFailure`` -- so a served result
+is bit-identical to an in-process one.  A worker keeps the samplers of
+the last two cells it leased seeds of, so a cell's seeds share one
+checkpoint read and one opened machine, each seed a clone of it.
 
-- the cell is one seed of the very request template an in-process
-  campaign cell keys and runs (the stated
-  :meth:`~repro.campaign.plan.CampaignSpec.request`'s
-  :meth:`~repro.core.request.RunRequest.seed_template`), executed by
-  :func:`repro.core.request.execute_request` -- the single-run entry of
-  the one run dispatch every fan-out seed goes through -- so its result
-  is bit-identical to an in-process campaign's;
-- a warm-started cell resolves its shared warm checkpoint through
-  :meth:`repro.core.request.RunRequest.warm_checkpoint` with the store --
-  cause-keyed, so N workers build it at most N times and usually zero
-  (first one wins, the rest read the cache);
-- the result is stored *before* the queue is told: a crash between the
-  two leaves a cached result that the requeued cell's next worker
-  serves without re-executing.
-
-While a cell runs, a daemon thread heartbeats the lease.  A worker that
-dies stops heartbeating and the queue requeues the cell -- crash
-recovery needs no cooperation from the crashed process.  If a heartbeat
-reports the lease lost (e.g. a long GC pause let it lapse), the worker
-still finishes and stores the run -- content-addressed writes are
-idempotent -- but leaves the queue transition to the new owner.
+What is left here is the queue protocol.  The result is stored *before*
+the queue is told: a crash between the two leaves a stored result that
+the requeued cell's next worker is served by its sampler's store lookup,
+without re-executing.  While a seed runs, a daemon thread heartbeats
+the lease.  A worker that dies stops heartbeating and the queue
+requeues the cell -- crash recovery needs no cooperation from the
+crashed process.  If a heartbeat reports the lease lost (e.g. a long GC
+pause let it lapse), the worker still finishes and stores the run --
+content-addressed writes are idempotent -- but leaves the queue
+transition to the new owner.
 """
 
 from __future__ import annotations
@@ -36,7 +34,9 @@ import threading
 import time
 import uuid
 
-from repro.core.request import execute_request, format_failure
+from repro.core.fanout import CellSampler, run_cells
+# Not called here; benchmarks/ledger/service.py wraps this attribute.
+from repro.core.request import execute_request  # noqa: F401
 from repro.service.protocol import spec_from_dict
 from repro.service.queue import DEFAULT_LEASE_S, LeasedCell, WorkQueue
 from repro.store import RunStore
@@ -44,6 +44,11 @@ from repro.store import RunStore
 #: test-only hook: seconds to sleep after claiming a lease, before
 #: executing (gives crash-recovery tests a deterministic kill window)
 TEST_SLEEP_ENV = "REPRO_SERVICE_TEST_SLEEP"
+
+#: cells whose samplers a worker keeps; leases come in grid order, so
+#: older cells are finished ones, and evicting one costs at worst a
+#: checkpoint read and an open, never a wrong result
+_SAMPLER_WINDOW = 2
 
 
 class _Heartbeat(threading.Thread):
@@ -75,13 +80,12 @@ class _Heartbeat(threading.Thread):
 
 
 class Worker:
-    """Pull leases, execute cells, publish results.
+    """Pull leases, run each leased seed through its cell's sampler,
+    report to the queue.
 
     ``drain=True`` exits once no cell anywhere is pending or leased
     (instead of idling for new submissions); ``max_cells`` bounds how
-    many cells this worker will run (tests and canaries).  The worker
-    never parses campaign specs twice: decoded specs are cached per
-    campaign id.
+    many cells this worker will run (tests and canaries).
     """
 
     def __init__(
@@ -105,23 +109,31 @@ class Worker:
         self.max_cells = max_cells
         self.progress = progress
         self.completed = 0
-        self.served_cached = 0
-        self.failed = 0
-        self._specs: dict = {}  # campaign id -> CampaignSpec
+        # (campaign id, config index, workload index) -> CellSampler, oldest first
+        self._samplers: dict[tuple, CellSampler] = {}
 
     def _say(self, text: str) -> None:
         if self.progress is not None:
             self.progress(f"[worker {self.worker_id}] {text}")
 
-    def _spec_for(self, campaign_id: str):
-        spec = self._specs.get(campaign_id)
-        if spec is None:
-            row = self.queue.campaign(campaign_id)
+    def _sampler_for(self, key: tuple, cell: LeasedCell) -> CellSampler:
+        """The sampler of the leased seed's cell (``key``), built as
+        ``Campaign._run_cell`` builds it."""
+        sampler = self._samplers.pop(key, None)
+        if sampler is None:
+            row = self.queue.campaign(cell.campaign_id)
             if row is None:
-                raise RuntimeError(f"campaign {campaign_id} vanished from the queue")
+                raise RuntimeError(f"campaign {cell.campaign_id} vanished from the queue")
             spec = spec_from_dict(row["spec"])
-            self._specs[campaign_id] = spec
-        return spec
+            label, config = spec.configs[cell.config_index]
+            sampler = CellSampler(
+                spec.request(config, spec.workloads[cell.workload_index]), self.store,
+                warm_start=spec.warm_start, config=label, campaign=spec.name,
+            )
+        self._samplers[key] = sampler
+        while len(self._samplers) > _SAMPLER_WINDOW:
+            del self._samplers[next(iter(self._samplers))]
+        return sampler
 
     # ------------------------------------------------------------------
     def run_forever(self) -> int:
@@ -146,69 +158,39 @@ class Worker:
             self.run_one(cell)
 
     def run_one(self, cell: LeasedCell) -> bool:
-        """Execute one leased cell end to end; ``True`` on completion."""
+        """Run one leased cell end to end; ``True`` on completion."""
         test_sleep = float(os.environ.get(TEST_SLEEP_ENV, "0") or "0")
         if test_sleep > 0:
             # Crash-recovery tests SIGKILL the worker inside this window;
             # no heartbeat runs yet, so the lease lapses on schedule.
             time.sleep(test_sleep)
 
-        # Dedup at claim time: another campaign (or a crashed twin that
-        # stored before dying) may have produced this key already.
-        if self.store.contains(cell.run_key):
-            self.queue.complete(cell.cell_id, self.worker_id, cached=True)
-            self.completed += 1
-            self.served_cached += 1
-            self._say(f"cell {cell.cell_id} served from store ({cell.run_key[:12]})")
-            return True
-
+        key = (cell.campaign_id, cell.config_index, cell.workload_index)
         heartbeat = _Heartbeat(self.queue, cell, self.worker_id, self.lease_s)
         heartbeat.start()
         try:
-            result, spec, label, wspec = self._execute(cell)
-        except Exception as exc:  # noqa: BLE001 -- a cell failure must not kill the daemon
+            # Served from the store, or executed and stored, by the sampler.
+            ((done, fails),) = run_cells([self._sampler_for(key, cell).collect([cell.seed])])
+        finally:
             heartbeat.stop()
-            self.failed += 1
-            message = format_failure(exc)
+        if fails:
+            del self._samplers[key]  # a retry starts over: a failed warm-up is not kept
+            message = fails[0].error
             self.queue.fail(cell.cell_id, self.worker_id, message)
             self._say(f"cell {cell.cell_id} failed: {message}")
             return False
-        heartbeat.stop()
-
-        # Store first, then transition the queue: a crash in between
-        # costs one redundant (and idempotent) store read, never a loss.
-        self.store.put(
-            cell.run_key,
-            result,
-            workload=wspec.name,
-            config=label,
-            campaign=spec.name,
-        )
         if heartbeat.lost:
             # The queue re-leased this cell; its new owner will find the
             # stored result and complete as cached.  Don't double-report.
             self._say(f"cell {cell.cell_id} finished after lease loss (stored)")
             return True
-        self.queue.complete(cell.cell_id, self.worker_id)
+        self.queue.complete(cell.cell_id, self.worker_id, cached=not done)
         self.completed += 1
-        self._say(
-            f"cell {cell.cell_id} done ({cell.config_label} x {cell.workload} "
-            f"seed {cell.seed})"
-        )
+        if done:
+            self._say(
+                f"cell {cell.cell_id} done ({cell.config_label} x {cell.workload} "
+                f"seed {cell.seed})"
+            )
+        else:
+            self._say(f"cell {cell.cell_id} served from store ({cell.run_key[:12]})")
         return True
-
-    def _execute(self, cell: LeasedCell):
-        """Run the cell's simulation exactly as the in-process path would."""
-        spec = self._spec_for(cell.campaign_id)
-        try:
-            label, config = spec.configs[cell.config_index]
-            wspec = spec.workloads[cell.workload_index]
-        except IndexError as exc:
-            raise RuntimeError(
-                f"cell {cell.cell_id} indexes outside its campaign spec"
-            ) from exc
-        stated = spec.request(config, wspec)
-        # Cause-keyed: the first worker builds it, the rest read the cache.
-        checkpoint = stated.warm_checkpoint(self.store) if spec.warm_start else None
-        request = stated.seed_template(spec.warm_start).with_seed(cell.seed)
-        return execute_request(request, checkpoint), spec, label, wspec

@@ -164,9 +164,13 @@ class StoreBackend:
 
 
 def _warn_corrupt(what: str, exc: Exception) -> None:
-    warnings.warn(
-        f"run store: skipping corrupt {what}: {exc}", RuntimeWarning, stacklevel=3
-    )
+    from repro.system.checkpoint import EarlierLayout
+
+    if isinstance(exc, EarlierLayout):
+        message = f"run store: {what} written by an earlier version ({exc}); re-warming"
+    else:
+        message = f"run store: skipping corrupt {what}: {exc}"
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 # ----------------------------------------------------------------------

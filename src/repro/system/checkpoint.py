@@ -129,18 +129,24 @@ class Checkpoint:
         """The checkpoint pickled in ``data`` -- the one loader every
         store backend reads through.
 
-        Raises ``TypeError`` for anything else, including a checkpoint
-        pickled before ``workload`` was one
-        :class:`~repro.core.request.WorkloadSpec` (loose ``workload_*``
-        fields): stores treat that as a miss and warm up again, rather
-        than hand :meth:`materialize` a state it cannot rebuild.
+        Raises ``TypeError`` for anything else, and its subclass
+        :class:`EarlierLayout` for a checkpoint pickled before
+        ``workload`` was one :class:`~repro.core.request.WorkloadSpec`
+        (loose ``workload_*`` fields): stores treat either as a miss and
+        warm up again, rather than hand :meth:`materialize` a state it
+        cannot rebuild.
         """
         checkpoint = pickle.loads(data)
         if not isinstance(checkpoint, cls):
             raise TypeError("data does not contain a Checkpoint")
         if "workload" not in vars(checkpoint):
-            raise TypeError("checkpoint predates the WorkloadSpec layout")
+            raise EarlierLayout("checkpoint predates the WorkloadSpec layout")
         return checkpoint
+
+
+class EarlierLayout(TypeError):
+    """A checkpoint written by an earlier version, in a layout this one
+    no longer reads: not damage, just a warm-up to pay again."""
 
 
 #: perturbation seed of the shared warm-up leg (the warm-up is part of

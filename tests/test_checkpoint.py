@@ -163,10 +163,32 @@ class TestPreWorkloadSpecLayout:
                 ).results
             ]
 
-        with pytest.warns(RuntimeWarning, match="predates"):
+        with pytest.warns(RuntimeWarning, match="predates") as caught:
             rewarmed = sample(store)
+        (message,) = {str(w.message) for w in caught}
+        assert message.startswith("run store: checkpoint ")
+        assert message.endswith(
+            "written by an earlier version (checkpoint predates the WorkloadSpec layout);"
+            " re-warming"
+        )
+        assert "corrupt" not in message
         assert rewarmed == sample(RunStore(tmp_path / "fresh", backend=kind))
         assert store.get_checkpoint(key).workload == stated.workload
+
+    def test_undecodable_checkpoint_is_still_called_corrupt(self, tmp_path):
+        key = "k" * 32
+        directory = RunStore(tmp_path / "dir")
+        path = directory.backend.checkpoint_path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\x80 not a pickle")
+        database = RunStore(tmp_path / "db", backend="sqlite")
+        database.put_checkpoint(key, {"not": "a checkpoint"})
+        for store in (directory, database):
+            with pytest.warns(RuntimeWarning) as caught:
+                assert store.get_checkpoint(key) is None
+            (message,) = {str(w.message) for w in caught}
+            assert message.startswith("run store: skipping corrupt checkpoint ")
+            assert "earlier version" not in message
 
 
 class TestValidation:

@@ -366,3 +366,34 @@ def test_run_space_inline_materializes_once_and_clones_per_seed(tmp_path, counts
     again = run_space(OOO, "oltp", run, 8, **kwargs)
     assert (len(warmups), counts["materialize"], counts["clone"]) == (1, 1, 8)
     assert [r.to_dict() for r in again.results] == [r.to_dict() for r in first.results]
+
+
+def test_served_warm_cells_open_each_checkpoint_once(tmp_path, counts, monkeypatch):
+    """A service worker draining 2 warm-started cells x 8 seeds reads and
+    opens each cell's checkpoint once and clones it per seed, as an
+    in-process cell does (leased seeds used to read and materialize the
+    checkpoint again, one each)."""
+    from repro.campaign import CampaignSpec
+    from repro.service import Worker, WorkQueue, enumerate_cells, spec_to_dict
+    from repro.store import RunStore
+
+    reads = []
+    real_read = RunStore.get_checkpoint
+    monkeypatch.setattr(
+        RunStore, "get_checkpoint", lambda self, key: reads.append(key) or real_read(self, key)
+    )
+    spec = CampaignSpec(
+        configs=[("base", SIMPLE), ("dram=200", SIMPLE.with_dram_latency(200))],
+        workloads=[WorkloadSpec.resolve("oltp", workload_params={"threads_per_cpu": 2})],
+        run=RunConfig(measured_transactions=5, warmup_transactions=12, seed=1, max_time_ns=MAX_NS),
+        n_runs=8,
+        warm_start=True,
+    )
+    store = RunStore(tmp_path, backend="sqlite")
+    queue = WorkQueue(store.root / "queue.sqlite")
+    cid = queue.submit(spec.name, spec_to_dict(spec), enumerate_cells(spec, store))
+    Worker(queue, store, drain=True, poll_s=0.05).run_forever()
+    assert queue.counts(cid)["done"] == 16
+    assert counts["materialize"] == 2
+    assert len(reads) <= 2
+    assert counts["clone"] == 16

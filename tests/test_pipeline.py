@@ -337,6 +337,29 @@ class TestWorkerDeath:
         assert "retry budget (1) exhausted" in text
 
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_raising_warm_up_fails_only_that_cell(self, tmp_path, monkeypatch, n_jobs):
+        real, doomed = checkpoint_mod.warm_checkpoint, CONFIGS[1][1]
+
+        def warm(config, *args, **kwargs):
+            if config == doomed:
+                raise ValueError("synthetic warm-up fault")
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_mod, "warm_checkpoint", warm)
+        store = RunStore(tmp_path)
+        report = Campaign(grid(workloads=[OLTP]), store, n_jobs=n_jobs).run()
+        by_label = {c.config_label: c for c in report.cells}
+        doomed_cell = by_label.pop("dram=160")
+        assert doomed_cell.n_runs == 0
+        assert [(f.seed, f.kind) for f in doomed_cell.failures] == [
+            (RUN.seed + i, "error") for i in range(3)
+        ]
+        assert all("synthetic warm-up fault" in f.error for f in doomed_cell.failures)
+        assert [(c.failures, c.executed) for c in by_label.values()] == [([], 3), ([], 3)]
+        assert len(warm_keys(store)) == 2
+
+
 class TestInterrupt:
     def test_interrupt_keeps_runs_and_warm_checkpoints(self, tmp_path, monkeypatch):
         """Ctrl-C mid-campaign at n_jobs=2: whatever finished is in the

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign import Campaign, CampaignSpec
 from repro.config import RunConfig, SystemConfig
+from repro.core import fanout as fanout_mod
 from repro.core.runner import WorkloadSpec
 from repro.service import (
     ServiceError,
@@ -300,22 +301,45 @@ class TestWorker:
         cid = queue.submit(spec.name, spec_to_dict(spec), cells,
                            max_attempts=2)
         poisoned_key = cells[0].run_key
-        worker = Worker(queue, store, drain=True, poll_s=0.05)
-        real_execute = worker._execute
+        poisoned = (spec.configs[cells[0].config_index][1], cells[0].seed)
+        real_simulate = fanout_mod._simulate_resident
 
-        def flaky(cell):
-            if cell.run_key == poisoned_key:
+        def flaky(resident, run):
+            if (resident.context.config, run.seed) == poisoned:
                 raise RuntimeError("synthetic poison")
-            return real_execute(cell)
+            return real_simulate(resident, run)
 
-        monkeypatch.setattr(worker, "_execute", flaky)
-        worker.run_forever()
+        monkeypatch.setattr(fanout_mod, "_simulate_resident", flaky)
+        Worker(queue, store, drain=True, poll_s=0.05).run_forever()
         counts = queue.counts(cid)
         assert counts["quarantined"] == 1
         assert counts["done"] == len(cells) - 1
         assert queue.is_done(cid)
         rows = {r["run_key"]: r for r in queue.cells(cid)}
         assert "synthetic poison" in rows[poisoned_key]["error"]
+
+    def test_raising_warm_up_fails_its_cell_not_the_worker(self, tmp_path, monkeypatch):
+        """A warm-up that raises is each of its seeds' failure, retried and
+        then quarantined; the worker drains the other cell."""
+        from repro.system import checkpoint as checkpoint_mod
+
+        spec = small_spec(warm_start=True, warmup=20)
+        store = RunStore(tmp_path, backend="sqlite")
+        queue = WorkQueue(store.root / "queue.sqlite")
+        cid = queue.submit(spec.name, spec_to_dict(spec), enumerate_cells(spec, store),
+                           max_attempts=2)
+        real_warm, doomed = checkpoint_mod.warm_checkpoint, spec.configs[1][1]
+
+        def warm(config, *args, **kwargs):
+            if config == doomed:
+                raise RuntimeError("synthetic warm-up fault")
+            return real_warm(config, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_mod, "warm_checkpoint", warm)
+        Worker(queue, store, drain=True, poll_s=0.05).run_forever()
+        rows = queue.cells(cid)
+        assert [r["state"] for r in rows] == ["done", "done", "quarantined", "quarantined"]
+        assert all("synthetic warm-up fault" in r["error"] for r in rows[2:])
 
     def test_crash_recovery_sigkill(self, tmp_path):
         """SIGKILL a worker mid-cell: the lease lapses, the cell requeues,
