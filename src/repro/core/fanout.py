@@ -63,6 +63,7 @@ from collections.abc import Generator, Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from repro.config import RunConfig, SystemConfig
@@ -281,17 +282,12 @@ class SeedOrder:
     run completes (persist there -- that is what makes interrupts
     resumable).  In-process, the seeds run on ``resident`` itself, so a
     caller that keeps one across its orders (a :class:`CellSampler`)
-    opens its context once; a bare :class:`SharedRunContext` is opened
-    for this order alone.  A pool ships only the context.
+    opens its context once.  A pool ships only the context.
     """
 
     resident: _Resident
     seeds: list[int]
     on_result: Callable[[int, SimulationResult], None] | None = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.resident, SharedRunContext):
-            object.__setattr__(self, "resident", _Resident(self.resident))
 
     def record(self, outcome: tuple, seed: int, status: str, payload) -> None:
         """File one finished run into ``outcome``'s (results, failures)."""
@@ -580,7 +576,7 @@ def execute_shared(
     """
 
     def cell():
-        return (yield SeedOrder(context, list(seeds), on_result))
+        return (yield SeedOrder(_Resident(context), list(seeds), on_result))
 
     (outcome,) = run_cells(
         [cell()], n_jobs=n_jobs, timeout_s=timeout_s, retries=retries, batch_size=batch_size
@@ -625,7 +621,6 @@ class CellSampler:
         self.failures: list[RunFailure] = []
         self.cached_hits = 0
         self.executed = 0
-        self._keys: dict[int, str] = {}
         # One resident per cell, built when a batch first executes: every
         # in-process batch clones the one machine it opens.
         self._resident: _Resident | None = None
@@ -641,13 +636,13 @@ class CellSampler:
         lacks the checkpoint -- a fully cached sample costs no simulation.
         """
         pending = list(seeds)
+        keys: dict[int, str] = {}
         if self.store is not None:
-            for seed in seeds:
-                self._keys[seed] = self.template.with_seed(seed).run_key
-            found = self.store.get_many([self._keys[seed] for seed in seeds])
+            keys = {seed: self.template.with_seed(seed).run_key for seed in seeds}
+            found = self.store.get_many([keys[seed] for seed in seeds])
             pending = []
             for seed in seeds:
-                cached = found.get(self._keys[seed])
+                cached = found.get(keys[seed])
                 if cached is None:
                     pending.append(seed)
                 else:
@@ -662,7 +657,9 @@ class CellSampler:
         if self._resident is None:
             done, fails = {}, [RunFailure(seed, *self._warm_failure) for seed in pending]
         else:
-            done, fails = yield SeedOrder(self._resident, pending, on_result=self._persist)
+            done, fails = yield SeedOrder(
+                self._resident, pending, on_result=partial(self._persist, keys)
+            )
         self.executed += len(done)
         self.failures.extend(fails)
         return done, fails
@@ -683,7 +680,7 @@ class CellSampler:
                 store.put_checkpoint(warm_key, checkpoint)
         return checkpoint
 
-    def _persist(self, seed: int, result: SimulationResult) -> None:
+    def _persist(self, keys: dict[int, str], seed: int, result: SimulationResult) -> None:
         self.results[seed] = result
         if self.store is not None:
-            self.store.put(self._keys[seed], result, **self.journal)
+            self.store.put(keys[seed], result, **self.journal)

@@ -41,7 +41,8 @@ pending wake-ups are re-scheduled as ``EV_READY`` events (clamped to
 the final time so the clock never runs backwards).  A fast-forwarded
 machine can therefore be checkpointed (``Checkpoint.capture``) or
 continued directly under ``run_until_transactions`` -- which is what
-the multi-window sampler (:mod:`repro.core.sampling`) does.
+the one timed-window loop of sampled measurement,
+:func:`repro.core.sampling.timed_windows`, does between its windows.
 
 What stays cold: the OOO model's branch-predictor tables (the branch
 *stream* counter advances identically, so the stream itself is in the
@@ -90,13 +91,7 @@ from repro.sim.events import EV_CORE, EV_READY
 _WAKE_STALE = (ThreadState.READY, ThreadState.RUNNING, ThreadState.FINISHED)
 
 
-def fast_forward_transactions(
-    machine,
-    total: int,
-    *,
-    max_time_ns: int,
-    interleave_ns: int | None = None,
-) -> int:
+def fast_forward_transactions(machine, total: int, *, max_time_ns: int) -> int:
     """Drive ``machine`` to ``total`` machine-lifetime transactions
     functionally (see module docstring).  Returns the functional time at
     which the target completed; the machine is left re-armed for the
@@ -111,7 +106,7 @@ def fast_forward_transactions(
 
     config = machine.config
     os_cfg = config.os
-    interleave = interleave_ns or os_cfg.interleave_ns or INTERLEAVE_NS
+    interleave = os_cfg.interleave_ns or INTERLEAVE_NS
     quantum = os_cfg.quantum_ns
     wakeup_latency = os_cfg.wakeup_latency_ns
     spin_ns = os_cfg.spin_before_block_ns

@@ -27,11 +27,14 @@ that is changing.  This module replaces the cadence with *behaviour*:
    :func:`repro.core.confidence.confidence_interval` when one stratum
    covers the lifetime.
 
-Everything is deterministic given the run's seed: window placement is
-a pure function of the survey signatures, and each pass (survey,
-pilot, allocated) starts from identical initial conditions via a
-machine factory, seeded with the same perturbation stream as any other
-run.  Results are *estimates* of the measured region -- which is why
+The pilot and allocated passes time their windows through the same
+loop as the fixed cadence, :func:`repro.core.sampling.timed_windows`;
+only the placement differs.  Everything is deterministic given the
+run's seed: window placement is a pure function of the survey
+signatures, and each pass (survey, pilot, allocated) starts from
+identical initial conditions via the caller's machine factory, seeded
+and warmed by :func:`repro.core.sampling.start_sampled_run` like any
+other run.  Results are *estimates* of the measured region -- which is why
 ``sampling_mode="live"`` folds into store keys
 (:mod:`repro.store.keys`) and must never alias the exhaustively-timed
 ``"fixed"`` result.
@@ -47,6 +50,7 @@ from repro.config import RunConfig, SystemConfig
 from repro.core.confidence import ConfidenceInterval
 from repro.core.distributions import critical_deviate
 from repro.core.metrics import mean, sample_stddev
+from repro.core.sampling import WindowMeasurement, start_sampled_run, timed_windows
 
 # ---------------------------------------------------------------------------
 # Defaults.  These are module-level constants, NOT RunConfig fields:
@@ -503,20 +507,13 @@ def stratified_confidence_interval(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiveWindow:
-    """One timed measurement window placed by the live sampler."""
+@dataclass(frozen=True, kw_only=True)
+class LiveWindow(WindowMeasurement):
+    """One timed window the live sampler placed: the measurement, plus
+    where it was placed and which stratum it stands for."""
 
     interval: int  # candidate-interval index within the measured region
     stratum: int
-    start_ns: int
-    end_ns: int
-    transactions: int
-    cycles_per_transaction: float
-
-    @property
-    def valid(self) -> bool:
-        return self.transactions > 0
 
 
 @dataclass(frozen=True)
@@ -637,12 +634,9 @@ def _spread(items: Sequence[int], k: int) -> list[int]:
     return [items[round(i * span / (k - 1))] for i in range(k)]
 
 
-def _fresh_machine(machine_factory: Callable, run: RunConfig):
-    from repro.sim.rng import stream_seed
-
-    machine = machine_factory()
-    machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
-    return machine
+def _fresh_machine(machine_factory: Callable, run: RunConfig, warmup_mode: str):
+    """One pass's machine: a fresh build, seeded and warmed up."""
+    return start_sampled_run(machine_factory(), run, warmup_mode)
 
 
 def _survey(
@@ -667,12 +661,7 @@ def _survey(
     from repro.probes.bus import ProbeBus
     from repro.probes.collectors import PhaseSignatureProbe
 
-    machine = _fresh_machine(machine_factory, run)
-    if run.warmup_transactions:
-        machine.fast_forward_transactions(
-            machine.completed_transactions + run.warmup_transactions,
-            max_time_ns=run.max_time_ns,
-        )
+    machine = _fresh_machine(machine_factory, run, "functional")
     origin = machine.completed_transactions
     probe = PhaseSignatureProbe(interval_transactions)
     bus = ProbeBus()
@@ -690,70 +679,33 @@ def _survey(
 
 def _measure_intervals(
     machine_factory: Callable,
-    config: SystemConfig,
     run: RunConfig,
     placements: Sequence[tuple[int, int]],
     *,
     interval_transactions: int,
     warmup_mode: str,
 ) -> tuple[list[LiveWindow], bool]:
-    """One measurement pass: fast-forward functionally between the
-    chosen intervals, run each under the timing model.
-
-    ``placements`` is ``(interval_index, stratum_index)`` pairs, sorted
-    ascending by interval.  A timed window never straddles a
-    fast-forward re-arm: the window's clock span starts *after* the
-    skip's event-loop re-arm and stops exactly at the target
-    transaction count (both engines stop exactly on target), so each
-    transaction is attributed to at most one window.
-    """
-    machine = _fresh_machine(machine_factory, run)
-    if run.warmup_transactions:
-        machine.advance_to_transactions(
-            machine.completed_transactions + run.warmup_transactions,
-            run.max_time_ns,
-            warmup_mode,
-        )
-    origin = machine.completed_transactions
-    windows: list[LiveWindow] = []
-    for interval_index, stratum_index in placements:
-        if machine.timed_out:
-            break
-        window_start = origin + interval_index * interval_transactions
-        if machine.completed_transactions < window_start:
-            machine.fast_forward_transactions(
-                window_start, max_time_ns=run.max_time_ns
-            )
-            if machine.timed_out:
-                break
-        start_txns = machine.completed_transactions
-        start_ns = machine.clock.now
-        end_ns = machine.run_until_transactions(
-            start_txns + interval_transactions, max_time_ns=run.max_time_ns
-        )
-        measured = machine.completed_transactions - start_txns
-        windows.append(
-            LiveWindow(
-                interval=interval_index,
-                stratum=stratum_index,
-                start_ns=start_ns,
-                end_ns=end_ns,
-                transactions=measured,
-                cycles_per_transaction=(
-                    (end_ns - start_ns) * config.n_cpus / measured
-                    if measured
-                    else 0.0
-                ),
-            )
-        )
-    return windows, machine.timed_out
+    """One measurement pass: :func:`~repro.core.sampling.timed_windows`
+    at the chosen intervals, ``placements`` being ``(interval_index,
+    stratum_index)`` pairs sorted ascending by interval."""
+    measured, timed_out = timed_windows(
+        _fresh_machine(machine_factory, run, warmup_mode),
+        run,
+        [interval * interval_transactions for interval, _ in placements],
+        interval_transactions,
+    )
+    windows = [
+        LiveWindow(interval=interval, stratum=stratum, **vars(window))
+        for (interval, stratum), window in zip(placements, measured)
+    ]
+    return windows, timed_out
 
 
 def live_window_sample(
     config: SystemConfig,
-    workload,
     run: RunConfig,
     *,
+    machine_factory: Callable,
     n_intervals: int,
     budget_windows: int | None = None,
     interval_transactions: int | None = None,
@@ -761,10 +713,6 @@ def live_window_sample(
     target_fraction: float | None = None,
     confidence: float = 0.95,
     warmup_mode: str = "functional",
-    checkpoint=None,
-    machine_factory: Callable | None = None,
-    detector_kwargs: dict | None = None,
-    merge_threshold: float = STRATUM_MERGE_THRESHOLD,
     survey_memo: dict | None = None,
 ) -> LiveSample:
     """Survey, detect, stratify, and measure one seed's execution.
@@ -772,8 +720,8 @@ def live_window_sample(
     The measured region is ``n_intervals`` candidate windows of
     ``interval_transactions`` (default ``run.measured_transactions``)
     transactions each, after the usual warm-up leg.  Three passes run
-    from identical initial conditions (fresh machine per pass, same
-    perturbation seed):
+    from identical initial conditions (a fresh ``machine_factory()``
+    machine per pass, same perturbation seed):
 
     1. a functional scout collecting one signature per interval;
     2. pilot windows -- up to ``pilot_windows`` evenly spread timed
@@ -790,9 +738,9 @@ def live_window_sample(
     passes only; inter-window skips and the scout are always
     functional.
 
-    ``machine_factory`` overrides machine construction (the fan-out
-    engine passes its resident's ``fresh_machine``); it must return a
-    *fresh* machine with fresh workload state on every call.
+    ``machine_factory`` must return a *fresh* machine with fresh
+    workload state on every call (the fan-out engine passes its
+    resident's ``fresh_machine``, a clone of one pristine machine).
 
     ``survey_memo`` lets the seeds of one cell share the scout pass,
     which is perturbation-independent (see :func:`_survey`): a dict the
@@ -800,7 +748,7 @@ def live_window_sample(
     same machine (same checkpoint, same configuration), keyed here on
     the remaining scout inputs.  Entries are read-only.
     """
-    from repro.system.machine import Machine, check_warmup_mode
+    from repro.system.machine import check_warmup_mode
 
     if n_intervals < 2:
         raise ValueError("live sampling needs at least two intervals")
@@ -818,21 +766,6 @@ def live_window_sample(
     check_warmup_mode(warmup_mode)
     if target_fraction is not None and target_fraction <= 0:
         raise ValueError("target_fraction must be positive")
-
-    if machine_factory is None:
-        if workload is None:
-            raise ValueError("need a workload or a machine_factory")
-        from repro.core.request import WorkloadSpec
-
-        # Each pass needs untouched state, and the caller's workload
-        # instance may be shared: build one pristine machine from the
-        # re-instantiated spec, never run it, and clone it per pass.
-        fresh = WorkloadSpec.resolve(workload).make()
-        if checkpoint is not None:
-            pristine = checkpoint.materialize(config, workload=fresh)
-        else:
-            pristine = Machine(config, fresh)
-        machine_factory = pristine.clone
 
     # -- pass 1: functional scout --------------------------------------
     memo_key = (
@@ -860,10 +793,8 @@ def live_window_sample(
     n_intervals = len(signatures)  # workload may have ended early
     budget_windows = min(budget_windows, n_intervals)
 
-    segments, change_points = detect_phases(
-        signatures, **(detector_kwargs or {})
-    )
-    strata = stratify(segments, merge_threshold=merge_threshold)
+    segments, change_points = detect_phases(signatures)
+    strata = stratify(segments)
     weights = [stratum.size / n_intervals for stratum in strata]
 
     # -- pass 2: pilots ------------------------------------------------
@@ -882,7 +813,6 @@ def live_window_sample(
     )
     pilot_result, pilot_timed_out = _measure_intervals(
         machine_factory,
-        config,
         run,
         placements,
         interval_transactions=interval_transactions,
@@ -954,7 +884,6 @@ def live_window_sample(
         if extra_picks:
             extra_result, alloc_timed_out = _measure_intervals(
                 machine_factory,
-                config,
                 run,
                 sorted(extra_picks),
                 interval_transactions=interval_transactions,
@@ -1028,13 +957,12 @@ def measure_live(
     interval_transactions = max(1, run.measured_transactions // n_intervals)
     sample = live_window_sample(
         config,
-        None,
         run,
+        machine_factory=machine_factory,
         n_intervals=n_intervals,
         interval_transactions=interval_transactions,
         target_fraction=LIVE_TARGET_FRACTION,
         warmup_mode=warmup_mode,
-        machine_factory=machine_factory,
         survey_memo=survey_memo,
     )
     valid = [w for w in sample.windows if w.valid]

@@ -14,11 +14,15 @@ Tools for studying how performance varies across a workload's lifetime:
   fixing N up front from a prior CoV estimate, run batches and stop when
   the confidence interval is tight enough.  :class:`repro.campaign.Campaign`
   executes this rule against the run store.
+- :func:`timed_windows` -- the one timed-window loop of sampled
+  measurement: on a machine that :func:`start_sampled_run` seeded and
+  warmed, fast-forward functionally (:mod:`repro.core.ffwd`) to each
+  requested start and time ``length`` transactions there.  Placement is
+  the caller's: :func:`multi_window_sample` spaces the windows evenly
+  (SMARTS), :mod:`repro.core.livesample` places them by stratum;
 - :func:`multi_window_sample` -- SMARTS-style sampled measurement within
-  one run: functional fast-forward (:mod:`repro.core.ffwd`) between
-  short timed measurement windows, yielding several
-  cycles-per-transaction observations per seed for the CI machinery at
-  a fraction of a fully timed run's cost.
+  one run, yielding several cycles-per-transaction observations per
+  seed for the CI machinery at a fraction of a fully timed run's cost.
 """
 
 from __future__ import annotations
@@ -305,6 +309,71 @@ class MultiWindowSample:
         return confidence_interval(self.values, confidence)
 
 
+def start_sampled_run(machine, run: RunConfig, warmup_mode: str):
+    """Seed ``machine``'s perturbation stream from ``run.seed`` and pay
+    the warm-up leg of ``run.warmup_transactions`` under ``warmup_mode``;
+    returns ``machine``.
+
+    ``machine`` must be fresh -- built, materialized or cloned, never
+    run -- so every pass of a sampled run starts from the same initial
+    conditions and the same stream, like any other run of that seed.
+    """
+    from repro.sim.rng import stream_seed
+
+    machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
+    if run.warmup_transactions:
+        machine.advance_to_transactions(
+            machine.completed_transactions + run.warmup_transactions,
+            run.max_time_ns,
+            warmup_mode,
+        )
+    return machine
+
+
+def timed_windows(
+    machine, run: RunConfig, starts: Sequence[int], length: int
+) -> tuple[list[WindowMeasurement], bool]:
+    """Time a ``length``-transaction window at each of ``starts``.
+
+    ``starts`` are ascending transaction offsets from where ``machine``
+    stands (after :func:`start_sampled_run`).  Before each window the
+    machine fast-forwards functionally to its start; the window then
+    runs under the timing model until ``length`` more transactions
+    complete.  Both engines stop exactly on target, so a window's clock
+    span begins after the fast-forward's event-loop re-arm and no
+    transaction counts in two windows.  A window of a program that ends
+    early times what is left (possibly nothing: it is then invalid).
+    Stops at the first timeout; returns the windows and ``timed_out``.
+    """
+    origin = machine.completed_transactions
+    n_cpus = machine.config.n_cpus
+    windows: list[WindowMeasurement] = []
+    for start in starts:
+        if machine.timed_out:
+            break
+        if machine.completed_transactions < origin + start:
+            machine.fast_forward_transactions(origin + start, max_time_ns=run.max_time_ns)
+            if machine.timed_out:
+                break
+        start_txns = machine.completed_transactions
+        start_ns = machine.clock.now
+        end_ns = machine.run_until_transactions(
+            start_txns + length, max_time_ns=run.max_time_ns
+        )
+        measured = machine.completed_transactions - start_txns
+        windows.append(
+            WindowMeasurement(
+                start_ns=start_ns,
+                end_ns=end_ns,
+                transactions=measured,
+                cycles_per_transaction=(
+                    (end_ns - start_ns) * n_cpus / measured if measured else 0.0
+                ),
+            )
+        )
+    return windows, machine.timed_out
+
+
 def multi_window_sample(
     config: SystemConfig,
     workload: Workload | str,
@@ -312,46 +381,36 @@ def multi_window_sample(
     *,
     n_windows: int,
     skip_transactions: int | None = None,
-    warmup_mode: str = "functional",
     checkpoint: Checkpoint | None = None,
 ) -> MultiWindowSample:
     """Alternate fast-forward and timed windows within one run (SMARTS).
 
-    The machine first pays ``run.warmup_transactions`` under
-    ``warmup_mode`` (default functional -- that is the point), then runs
-    ``n_windows`` *timed* windows of ``run.measured_transactions``,
-    separated by fast-forward skips of ``skip_transactions`` (default:
-    the measured window length) in the same mode.  Skips sit strictly
-    *between* windows -- the run ends with its last timed window, never
-    a trailing skip (it could not affect any measurement).  Each window
-    contributes one cycles-per-transaction observation; the run's
-    perturbation stream is seeded once from ``run.seed``, so the whole
-    sampled execution is deterministic.
-
-    Window accounting is exact: both engines stop exactly at their
-    target transaction count, so window ``i`` covers transactions
-    ``[warmup + i*(measured+skip), ... + measured)`` of the lifetime,
-    no transaction is counted in two windows, and a window's clock span
-    begins only after the preceding skip's event-loop re-arm
-    (:mod:`repro.core.ffwd`) -- locked by the boundary tests in
-    ``tests/test_sampling.py``.
+    The evenly spaced placement of :func:`timed_windows`: after a
+    functional warm-up of ``run.warmup_transactions``, window ``i``
+    times transactions ``[warmup + i*(measured+skip), ... + measured)``
+    of the lifetime, where ``measured`` is ``run.measured_transactions``
+    and ``skip`` is ``skip_transactions`` (default: ``measured``).  The
+    skips between windows are functional and the run ends with its last
+    window.  Each window contributes one cycles-per-transaction
+    observation; the run's perturbation stream is seeded once from
+    ``run.seed``, so the whole sampled execution is deterministic
+    (locked by the boundary tests in ``tests/test_sampling.py``).
 
     ``checkpoint`` starts from captured initial conditions instead of a
     cold boot, exactly as :func:`repro.system.simulation.run_simulation`.
     For behaviour-aware window *placement* instead of a fixed cadence,
     see :func:`repro.core.livesample.live_window_sample`.
     """
-    from repro.sim.rng import stream_seed
-    from repro.system.machine import Machine, check_warmup_mode
+    from repro.system.machine import Machine
     from repro.workloads.registry import make_workload
 
     if n_windows <= 0:
         raise ValueError("n_windows must be positive")
-    if run.measured_transactions <= 0:
+    measured = run.measured_transactions
+    if measured <= 0:
         raise ValueError("windows need run.measured_transactions > 0")
-    check_warmup_mode(warmup_mode)
     if skip_transactions is None:
-        skip_transactions = run.measured_transactions
+        skip_transactions = measured
 
     if isinstance(workload, str):
         workload = make_workload(workload)
@@ -359,48 +418,12 @@ def multi_window_sample(
         machine = checkpoint.materialize(config)
     else:
         machine = Machine(config, workload)
-    machine.hierarchy.seed_perturbation(stream_seed(run.seed, "perturbation"))
-
-    if run.warmup_transactions:
-        machine.advance_to_transactions(
-            machine.completed_transactions + run.warmup_transactions,
-            run.max_time_ns,
-            warmup_mode,
-        )
-
-    windows: list[WindowMeasurement] = []
-    for index in range(n_windows):
-        if machine.timed_out:
-            break
-        start_txns = machine.completed_transactions
-        start_ns = machine.clock.now
-        end_ns = machine.run_until_transactions(
-            start_txns + run.measured_transactions, max_time_ns=run.max_time_ns
-        )
-        measured = machine.completed_transactions - start_txns
-        elapsed = end_ns - start_ns
-        windows.append(
-            WindowMeasurement(
-                start_ns=start_ns,
-                end_ns=end_ns,
-                transactions=measured,
-                cycles_per_transaction=(
-                    elapsed * config.n_cpus / measured if measured else 0.0
-                ),
-            )
-        )
-        if machine.timed_out:
-            break
-        if skip_transactions and index < n_windows - 1:
-            machine.advance_to_transactions(
-                machine.completed_transactions + skip_transactions,
-                run.max_time_ns,
-                warmup_mode,
-            )
-
+    windows, timed_out = timed_windows(
+        start_sampled_run(machine, run, "functional"),
+        run,
+        [i * (measured + skip_transactions) for i in range(n_windows)],
+        measured,
+    )
     return MultiWindowSample(
-        windows=windows,
-        n_cpus=config.n_cpus,
-        seed=run.seed,
-        timed_out=machine.timed_out,
+        windows=windows, n_cpus=config.n_cpus, seed=run.seed, timed_out=timed_out
     )

@@ -25,9 +25,9 @@ Operand layouts (unchanged from the original string encoding):
 String op kinds (``"cpu"``, ``"mem"``, ...) are the scripted-program
 input format, accepted at exactly one boundary: :meth:`SimThread.refill`
 checks the first op a program hands back and runs a string-kinded list
-through :func:`encode_ops`.  (Checkpoint restore applies the same
-translation to persisted op buffers, which are input from outside the
-process.)  Everything past that boundary only ever sees integers.
+through :func:`encode_ops`.  Everything past that boundary only ever
+sees integers -- checkpointed op buffers included, so restore copies
+them as they are.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def encode_ops(ops: list[tuple]) -> list[tuple]:
     """Translate a legacy string-kinded op list to integer opcodes.
 
     Already-integer opcodes pass through unchanged, so the function is
-    idempotent and safe on mixed lists (old checkpoints).
+    idempotent and safe on mixed lists.
     """
     return [
         op if type(op[0]) is int else (OPCODES[op[0]],) + tuple(op[1:])

@@ -113,13 +113,12 @@ class SimThread:
     def restore_from(self, state: dict) -> None:
         """Restore in place from a :meth:`snapshot` value."""
         self.state = ThreadState(state["state"])
-        # Pre-refactor checkpoints buffered string-kinded ops; translate.
-        self.op_buffer = encode_ops([tuple(op) for op in state["op_buffer"]])
+        self.op_buffer = list(state["op_buffer"])
         self.op_index = state["op_index"]
         self.last_cpu = state["last_cpu"]
         self.quantum_deadline = state["quantum_deadline"]
         self.blocked_on_lock = state["blocked_on_lock"]
-        self.ops_fetched = state.get("ops_fetched", 0)
+        self.ops_fetched = state["ops_fetched"]
         self.branch_ctx = BranchContext.restore(state["branch_ctx"])
         self.program.restore_state(state["program"])
         (

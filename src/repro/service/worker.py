@@ -13,7 +13,8 @@ the one run dispatch, persists the result with the campaign's journal
 fields and captures a failure as a ``RunFailure`` -- so a served result
 is bit-identical to an in-process one.  A worker keeps the samplers of
 the last two cells it leased seeds of, so a cell's seeds share one
-checkpoint read and one opened machine, each seed a clone of it.
+checkpoint read and one opened machine, each seed a clone of it; it
+keeps none of their results, each of which is in the store.
 
 What is left here is the queue protocol.  The result is stored *before*
 the queue is told: a crash between the two leaves a stored result that
@@ -166,13 +167,16 @@ class Worker:
             time.sleep(test_sleep)
 
         key = (cell.campaign_id, cell.config_index, cell.workload_index)
+        sampler = self._sampler_for(key, cell)
         heartbeat = _Heartbeat(self.queue, cell, self.worker_id, self.lease_s)
         heartbeat.start()
         try:
             # Served from the store, or executed and stored, by the sampler.
-            ((done, fails),) = run_cells([self._sampler_for(key, cell).collect([cell.seed])])
+            ((done, fails),) = run_cells([sampler.collect([cell.seed])])
         finally:
             heartbeat.stop()
+            # Every result is in the store and nothing here reads one back.
+            sampler.results.clear()
         if fails:
             del self._samplers[key]  # a retry starts over: a failed warm-up is not kept
             message = fails[0].error

@@ -28,10 +28,6 @@ from typing import Any
 EV_CORE = 0  # payload: cpu index -- the CPU is ready to execute
 EV_READY = 1  # payload: tid -- a thread wakes and joins a run queue
 
-#: kind -> mnemonic, and the legacy string spellings accepted on restore
-EV_NAMES: tuple[str, ...] = ("core", "ready")
-EV_KINDS: dict[str, int] = {name: code for code, name in enumerate(EV_NAMES)}
-
 #: a scheduled event is exactly this tuple shape
 Event = tuple  # (time, sequence, kind, payload)
 
@@ -108,16 +104,9 @@ class EventQueue:
 
     @classmethod
     def restore(cls, state: dict) -> "EventQueue":
-        """Rebuild a queue from a :meth:`snapshot` value.
-
-        Tolerates pre-refactor snapshots whose kinds are the legacy
-        strings ``"core"``/``"ready"`` by mapping them to the integer
-        codes the machine dispatches on.
-        """
+        """Rebuild a queue from a :meth:`snapshot` value."""
         queue = cls()
         for time, sequence, kind, payload in state["events"]:
-            if type(kind) is str:
-                kind = EV_KINDS.get(kind, kind)
             heapq.heappush(queue._heap, (time, sequence, kind, payload))
             queue._live += 1
         queue._sequence = state["sequence"]

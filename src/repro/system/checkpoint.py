@@ -189,8 +189,6 @@ def warm_checkpoint(
     states (functional time is a fixed clock), so they cache under
     different warm keys and must never alias.
     """
-    from repro.sim.rng import stream_seed
-
     check_warmup_mode(mode)
     if isinstance(workload, str):
         workload = make_workload(workload)
@@ -213,39 +211,56 @@ def warm_checkpoint(
         if cached is not None:
             return cached
 
-    machine = Machine(config, workload)
-    machine.hierarchy.seed_perturbation(stream_seed(warmup_seed, "warmup"))
-    machine.advance_to_transactions(warmup_transactions, max_time_ns, mode)
-    checkpoint = Checkpoint.capture(machine)
+    (checkpoint,) = _forward_capture(
+        config, workload, [warmup_transactions], max_time_ns, mode, warmup_seed
+    )
     if store is not None:
         store.put_checkpoint(key, checkpoint)
     return checkpoint
 
 
+#: time budget of :func:`make_checkpoints`' forward run over a lifetime
+_LIFETIME_MAX_TIME_NS = 120_000_000_000
+
+
 def make_checkpoints(
-    config: SystemConfig,
-    workload: Workload,
-    at_transactions: list[int],
-    *,
-    max_time_ns: int = 120_000_000_000,
-    perturbation_seed: int = 777,
+    config: SystemConfig, workload: Workload, at_transactions: list[int]
 ) -> list[Checkpoint]:
     """Run a workload forward, capturing checkpoints along its lifetime.
 
     ``at_transactions`` lists machine-lifetime transaction counts (e.g.
     ``[1000, 2000, ..., 10000]`` for the paper's ten starting points in
-    Figure 9); counts must be increasing.  A single forward run produces
+    Figure 9); counts must be increasing.  A single timed forward run
+    under the warm-up stream (:data:`WARMUP_PERTURBATION_SEED`) produces
     all checkpoints, as with recording Simics checkpoints during one
-    workload execution.
+    workload execution -- the run :func:`warm_checkpoint` makes to its
+    one count.
     """
     if sorted(at_transactions) != list(at_transactions):
         raise ValueError("checkpoint transaction counts must be increasing")
-    machine = Machine(config, workload)
+    return _forward_capture(
+        config, workload, at_transactions, _LIFETIME_MAX_TIME_NS, "timed",
+        WARMUP_PERTURBATION_SEED,
+    )
+
+
+def _forward_capture(
+    config: SystemConfig,
+    workload: Workload,
+    at_transactions: list[int],
+    max_time_ns: int,
+    mode: str,
+    warmup_seed: int,
+) -> list[Checkpoint]:
+    """Boot ``workload`` cold under the warm-up perturbation stream of
+    ``warmup_seed``, advance it under ``mode`` and capture a checkpoint
+    at each of the increasing lifetime counts ``at_transactions``."""
     from repro.sim.rng import stream_seed
 
-    machine.hierarchy.seed_perturbation(stream_seed(perturbation_seed, "warmup"))
+    machine = Machine(config, workload)
+    machine.hierarchy.seed_perturbation(stream_seed(warmup_seed, "warmup"))
     checkpoints = []
     for count in at_transactions:
-        machine.run_until_transactions(count, max_time_ns=max_time_ns)
+        machine.advance_to_transactions(count, max_time_ns, mode)
         checkpoints.append(Checkpoint.capture(machine))
     return checkpoints

@@ -276,9 +276,7 @@ class Machine:
         self._target_time = None
         return completion
 
-    def fast_forward_transactions(
-        self, total: int, max_time_ns: int, *, interleave_ns: int | None = None
-    ) -> int:
+    def fast_forward_transactions(self, total: int, max_time_ns: int) -> int:
         """Functionally fast-forward to ``total`` machine-lifetime
         transactions: full architectural state transitions, no timing
         model (see :mod:`repro.core.ffwd`).  Same contract as
@@ -287,9 +285,7 @@ class Machine:
         """
         from repro.core.ffwd import fast_forward_transactions
 
-        return fast_forward_transactions(
-            self, total, max_time_ns=max_time_ns, interleave_ns=interleave_ns
-        )
+        return fast_forward_transactions(self, total, max_time_ns=max_time_ns)
 
     def advance_to_transactions(self, total: int, max_time_ns: int, mode: str) -> int:
         """Reach ``total`` machine-lifetime transactions the way a warm-up
@@ -673,7 +669,7 @@ class Machine:
             config.l1i,
             config.l1d,
             config.l2,
-        ) and state.get("coherence_protocol", "mosi") == config.coherence_protocol
+        ) and state["coherence_protocol"] == config.coherence_protocol
         if same_memory_model:
             machine.hierarchy.restore_state(state["hierarchy"])
         else:

@@ -322,7 +322,3 @@ class TestMultiWindowSampling:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="n_windows"):
             multi_window_sample(CONFIG, "oltp", self.RUN, n_windows=0)
-        with pytest.raises(ValueError, match="warm-up mode"):
-            multi_window_sample(
-                CONFIG, "oltp", self.RUN, n_windows=2, warmup_mode="nope"
-            )

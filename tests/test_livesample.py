@@ -443,7 +443,7 @@ def two_phase_sample(**kwargs):
         ),
     )
     defaults.update(kwargs)
-    return live_window_sample(E2E_CONFIG, None, E2E_RUN, **defaults)
+    return live_window_sample(E2E_CONFIG, E2E_RUN, **defaults)
 
 
 class TestLiveWindowSample:
@@ -509,20 +509,6 @@ class TestLiveWindowSample:
         assert payload["timed_transactions"] == sample.timed_transactions
         assert payload["half_width"] > 0
 
-    def test_registry_workload_path(self):
-        """Without a machine_factory the sampler resolves the workload
-        from the registry and re-instantiates it per pass."""
-        run = RunConfig(measured_transactions=10, warmup_transactions=20, seed=5)
-        sample = live_window_sample(
-            SystemConfig(n_cpus=2),
-            "oltp",
-            run,
-            n_intervals=8,
-            budget_windows=4,
-        )
-        assert sample.n_timed_windows == 4
-        assert sample.point_estimate > 0
-
     def test_validations(self):
         with pytest.raises(ValueError, match="two intervals"):
             two_phase_sample(n_intervals=1)
@@ -534,8 +520,6 @@ class TestLiveWindowSample:
             two_phase_sample(warmup_mode="psychic")
         with pytest.raises(ValueError, match="target_fraction"):
             two_phase_sample(target_fraction=-0.1)
-        with pytest.raises(ValueError, match="machine_factory"):
-            live_window_sample(E2E_CONFIG, None, E2E_RUN, n_intervals=4)
 
 
 class TestAccuracyGate:

@@ -136,7 +136,7 @@ class TestRunCells:
                 config=CONFIG, spec=OLTP, run=RunConfig(measured_transactions=5, seed=1),
                 checkpoint=checkpoint,
             )
-            done, fails = yield SeedOrder(context, [1, 2])
+            done, fails = yield SeedOrder(fanout_mod._Resident(context), [1, 2])
             trail.append((name, "seeds"))
             return name, sorted(done), fails
 
@@ -219,11 +219,11 @@ class TestWorkerDeath:
         import signal
 
         def cell():
-            first, _ = yield SeedOrder(self._context(), [1])
+            first, _ = yield SeedOrder(fanout_mod._Resident(self._context()), [1])
             for worker in multiprocessing.active_children():
                 os.kill(worker.pid, signal.SIGKILL)
             time.sleep(0.5)  # let the executor notice
-            second, fails = yield SeedOrder(self._context(), [2, 3])
+            second, fails = yield SeedOrder(fanout_mod._Resident(self._context()), [2, 3])
             return sorted(first | second), fails
 
         with caplog.at_level(logging.INFO, logger="repro.core.fanout"):

@@ -318,6 +318,27 @@ class TestWorker:
         rows = {r["run_key"]: r for r in queue.cells(cid)}
         assert "synthetic poison" in rows[poisoned_key]["error"]
 
+    def test_kept_sampler_holds_no_results(self, tmp_path):
+        """Every leased seed's result goes to the store, and the worker
+        never reads one back: the sampler it keeps for the cell holds
+        none of them, nor their keys."""
+        spec = CampaignSpec(
+            configs=[("base", BASE)],
+            workloads=[WORKLOAD],
+            run=RunConfig(measured_transactions=5, warmup_transactions=0, seed=100),
+            n_runs=12,
+        )
+        store = RunStore(tmp_path, backend="sqlite")
+        queue = WorkQueue(store.root / "queue.sqlite")
+        cid = queue.submit(spec.name, spec_to_dict(spec), enumerate_cells(spec, store))
+        worker = Worker(queue, store, drain=True, poll_s=0.05)
+        worker.run_forever()
+        assert queue.counts(cid)["done"] == 12
+        assert len(store.keys()) == 12
+        (sampler,) = worker._samplers.values()
+        assert sampler.results == {}
+        assert not hasattr(sampler, "_keys")
+
     def test_raising_warm_up_fails_its_cell_not_the_worker(self, tmp_path, monkeypatch):
         """A warm-up that raises is each of its seeds' failure, retried and
         then quarantined; the worker drains the other cell."""
